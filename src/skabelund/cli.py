@@ -41,7 +41,7 @@ _CAPS = {
     "gaps": {"rational": 3, "quartic": 3, "generic": 3},
     "stats": {"rational": 6, "quartic": 6, "generic": 3},
 }
-_DIJKSTRA_S_MAX = 3  # beyond this, stats come from the closed-form Apery data
+_ENGINE_S_MAX = 3  # beyond this, stats come from the closed-form Apery data
 
 
 def _threads() -> int:
@@ -140,7 +140,7 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     elif emit == "gaps":
         payload["gaps"] = list(semigroup.gaps_of(_special_profile(p, point)).gaps)
     else:
-        if s <= _DIJKSTRA_S_MAX:
+        if s <= _ENGINE_S_MAX:
             stats = semigroup.SemigroupStats.from_profile(_special_profile(p, point))
         elif point == "rational":
             stats = curve.rational_apery_stats(p)

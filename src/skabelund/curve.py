@@ -86,21 +86,18 @@ def rational_apery(p: CurveParams) -> frozenset[int]:
     """
     q0, q = p.q0, p.q
     g0, g1, g2, g3, g4 = rational_generators(p).gens
-    seen = bytearray(g0)
-    out = []
-    for h in (0, g1):
-        for i in range(q0):
-            hi = h + i * g2
-            for j in range(q - 2 * q0 + 1):
-                hij = hi + j * g3
-                for k in range(q0):
-                    v = hij + k * g4
-                    r = v % g0
-                    if seen[r]:
-                        raise DuplicateResidue(f"residue {r} hit twice at value {v}")
-                    seen[r] = 1
-                    out.append(v)
-    return frozenset(out)
+    vals = (np.array([0, g1], dtype=np.int64)[:, None, None, None]
+            + np.arange(q0, dtype=np.int64)[:, None, None] * g2
+            + np.arange(q - 2 * q0 + 1, dtype=np.int64)[:, None] * g3
+            + np.arange(q0, dtype=np.int64) * g4).ravel()
+    residues = vals % g0
+    if np.bincount(residues, minlength=g0).max() > 1:
+        # Name the first repeat in box order (h, i, j, k).
+        first = np.zeros(vals.size, dtype=bool)
+        first[np.unique(residues, return_index=True)[1]] = True
+        at = int(np.argmin(first))
+        raise DuplicateResidue(f"residue {residues[at]} hit twice at value {vals[at]}")
+    return frozenset(vals.tolist())
 
 
 def quartic_generators(p: CurveParams) -> GeneratorSet:
@@ -170,15 +167,12 @@ def quartic_apery(p: CurveParams) -> frozenset[int]:
     transcription bug.
     """
     g0 = quartic_multiplicity(p)
-    total = 0
-    out = []
-    for i in range(g0):
-        v = phi(p, i)
-        total += v
-        out.append(v * g0 + i)
+    idx = np.arange(g0, dtype=np.int64)
+    offs = phi_values(p, idx)
+    total = int(offs.sum())
     if total != p.genus:
         raise SumMismatch(f"sum of offsets is {total}, genus is {p.genus}")
-    return frozenset(out)
+    return frozenset((offs * g0 + idx).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -200,38 +194,52 @@ def pole_order_table(p: CurveParams) -> PoleOrderTable:
 
 
 # ---------------------------------------------------------------------------
-# Chunked closed-form statistics.  At s >= 4 the Apery sets have hundreds of
-# thousands to tens of millions of elements; the summary numbers (genus,
-# conductor, symmetry) can be accumulated without materialising them.
+# Closed-form statistics in blocks.  At s >= 4 the Apery sets have hundreds
+# of thousands to tens of millions of elements; the summary numbers (genus,
+# conductor, symmetry) are accumulated over fixed-size blocks without
+# materialising them.  The rational box goes in chunks of about _CHUNK sums.
+# The quartic offsets go in blocks of _ROWS rows of the cell tables below,
+# with no division per element.
 
 _CHUNK = 1 << 20
+_ROWS = 64
+
+
+def _cell_tables(p: CurveParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell coefficients of phi, as three (2, q) int64 tables (a, b, c).
+
+    Row 0 covers the lower range: i = l*q + cell with cell = k*q0 + j, and
+    phi(i) = c + l + max(a - b*l, 0).  Row 1 covers the upper range through
+    its mirror index g0 - 1 - i = l*q + cell, and phi(i) = c - l - max(a - b*l, 0).
+    """
+    q0, q = p.q0, p.q
+    cell = np.arange(q, dtype=np.int64)
+    j = cell & (q0 - 1)
+    k = cell >> p.s
+    a = np.tile(q - q0 * ((k + 1) // 2 + j + 1), (2, 1))
+    b = np.full((2, q), q0, dtype=np.int64)
+    c = np.repeat(np.array([[1], [q - 1]], dtype=np.int64), q, axis=1)
+    lower_edge = (j == 0) & (k != 0)
+    a[0, lower_edge] = q - q0 * (k[lower_edge] + 2)
+    b[0, lower_edge] = 2 * q0
+    a[0, 0] = b[0, 0] = c[0, 0] = 0  # j = k = 0: phi = l
+    upper_edge = j == q0 - 1
+    a[1, upper_edge] = q - q0 * (k[upper_edge] + 1)
+    b[1, upper_edge] = 2 * q0
+    return a, b, c
 
 
 def phi_values(p: CurveParams, idx: np.ndarray) -> np.ndarray:
     """Vectorised ``phi`` over an int64 index array inside [0, g0)."""
-    q0, q = p.q0, p.q
     g0 = quartic_multiplicity(p)
-    split = q * (q - 2) // 2
-    out = np.empty_like(idx)
-
-    low = idx <= split
-    il = idx[low]
-    j = il % q0
-    k = (il // q0) % (2 * q0)
-    l = il // q
-    v = l + 1 + np.maximum(q - q0 * ((k + 1) // 2 + j + l + 1), 0)
-    v = np.where((j == 0) & (k != 0), l + 1 + np.maximum(q - q0 * (k + 2 * l + 2), 0), v)
-    v = np.where((j == 0) & (k == 0), l, v)
-    out[low] = v
-
-    ih = g0 - 1 - idx[~low]
-    j = ih % q0
-    k = (ih // q0) % (2 * q0)
-    l = ih // q
-    v = q - l - 1 - np.maximum(q - q0 * ((k + 1) // 2 + j + l + 1), 0)
-    v = np.where(j == q0 - 1, q - l - 1 - np.maximum(q - q0 * (k + 2 * l + 1), 0), v)
-    out[~low] = v
-    return out
+    upper = idx > p.q * (p.q - 2) // 2
+    mirrored = np.where(upper, g0 - 1 - idx, idx)
+    l = mirrored >> (2 * p.s + 1)  # q = 2^(2s+1)
+    cell = mirrored & (p.q - 1)
+    a, b, c = _cell_tables(p)
+    half = upper.astype(np.intp)
+    bump = np.maximum(a[half, cell] - b[half, cell] * l, 0) + l
+    return c[half, cell] + np.where(upper, -bump, bump)
 
 
 def rational_apery_stats(p: CurveParams) -> SemigroupStats:
@@ -256,15 +264,41 @@ def rational_apery_stats(p: CurveParams) -> SemigroupStats:
 
 
 def quartic_apery_stats(p: CurveParams) -> SemigroupStats:
-    """Summary statistics of the quartic-point semigroup via chunked phi sums."""
+    """Summary statistics of the quartic-point semigroup from every phi(i).
+
+    The lower range [0, q(q-2)/2] is q/2 - 1 whole rows of the cell tables
+    plus the single index q(q-2)/2 (cell 0 of the next row); the upper range
+    mirrors onto q/2 whole rows.  Each block of rows is evaluated in one
+    reused buffer with in-place arithmetic, summed, and turned into Apery
+    elements phi(i)*g0 + i for the maximum.
+    """
+    q = p.q
     g0 = quartic_multiplicity(p)
-    genus = 0
-    max_elt = 0
-    for lo in range(0, g0, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, g0), dtype=np.int64)
-        offs = phi_values(p, idx)
-        genus += int(offs.sum())
-        max_elt = max(max_elt, int((offs * g0 + idx).max()))
+    split = q * (q - 2) // 2
+    a, b, c = _cell_tables(p)
+    cells = np.arange(q, dtype=np.int64)
+    buf = np.empty((_ROWS, q), dtype=np.int64)
+    last = phi(p, split)
+    genus = last
+    max_elt = last * g0 + split
+    for half, rows in ((0, q // 2 - 1), (1, q // 2)):
+        signed_cells = -cells if half else cells
+        for l0 in range(0, rows, _ROWS):
+            l = np.arange(l0, min(l0 + _ROWS, rows), dtype=np.int64)[:, None]
+            blk = buf[: l.shape[0]]
+            np.multiply(b[half], -l, out=blk)
+            blk += a[half]
+            np.maximum(blk, 0, out=blk)
+            blk += l
+            if half:
+                np.negative(blk, out=blk)
+            blk += c[half]
+            genus += int(blk.sum())
+            # Apery element phi*g0 + i, with i = l*q + cell or g0 - 1 - (l*q + cell).
+            blk *= g0
+            blk += signed_cells
+            row_base = l * q if not half else g0 - 1 - l * q
+            max_elt = max(max_elt, int((blk.max(axis=1) + row_base[:, 0]).max()))
     if genus != p.genus:
         raise SumMismatch(f"sum of offsets is {genus}, genus is {p.genus}")
     conductor = 1 + max_elt - g0

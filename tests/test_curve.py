@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from skabelund import (
+    DuplicateResidue,
+    GeneratorSet,
     OutOfDomain,
     UnsupportedS,
     contains,
@@ -173,7 +175,7 @@ def test_pole_order_table_identities():
 
 
 def test_phi_vectorised_matches_scalar():
-    for s in (1, 2):
+    for s in (1, 2, 3):
         p = make_params(s)
         g0 = quartic_multiplicity(p)
         idx = np.arange(g0, dtype=np.int64)
@@ -190,6 +192,28 @@ def test_chunked_stats_match_engine():
         assert (sr.multiplicity, sr.genus, sr.conductor) == (pr.multiplicity, pr.genus, pr.conductor)
         assert (sq.multiplicity, sq.genus, sq.conductor) == (pq.multiplicity, pq.genus, pq.conductor)
         assert sr.symmetric and sq.symmetric
+
+
+@pytest.mark.parametrize("s", [4, 5])
+def test_quartic_stats_match_brute_phi(s):
+    p = make_params(s)
+    g0 = quartic_multiplicity(p)
+    idx = np.arange(g0, dtype=np.int64)
+    offs = phi_values(p, idx)
+    stats = quartic_apery_stats(p)
+    assert stats.genus == int(offs.sum())
+    assert stats.conductor == 1 + int((offs * g0 + idx).max()) - g0
+
+
+def test_rational_apery_names_first_duplicate(monkeypatch):
+    import skabelund.curve as curve
+
+    # g4 = 2 * g0, so k = 1 repeats the residues of k = 0; the first
+    # repeat in box order is h = i = j = 0, k = 1.
+    monkeypatch.setattr(curve, "rational_generators",
+                        lambda p: GeneratorSet((40, 50, 60, 63, 80)))
+    with pytest.raises(DuplicateResidue, match="residue 0 hit twice at value 80"):
+        rational_apery(make_params(1))
 
 
 def test_chunked_stats_large_sizes():

@@ -18,7 +18,7 @@ from skabelund import (
     verify_cofinite_complement,
 )
 
-from oracles import random_generator_list, sieve_gaps, sieve_window
+from oracles import random_generator_list, sieve_gaps, sieve_members, sieve_window
 
 
 def profile_of(*gens):
@@ -113,6 +113,23 @@ def test_gap_set_validation():
 def test_overflow_guard():
     with pytest.raises(Overflow):
         profile_from_generators(GeneratorSet((3, 2**63 + 2)))
+
+
+def test_overflow_guard_is_exact():
+    # Beyond int64 but within 64 bits unsigned: swept on Python ints.
+    assert profile_from_generators(GeneratorSet((3, 2**62 + 1))).apery == (0, 2**63 + 2, 2**62 + 1)
+    assert profile_from_generators(GeneratorSet((2, 2**64 - 1))).apery == (0, 2**64 - 1)
+
+
+@pytest.mark.parametrize("gens", [(6, 9, 20), (4, 8, 9), (10, 14, 15, 25), (12, 18, 28, 35)])
+def test_round_robin_multi_cycle_matches_sieve(gens):
+    # Generators sharing a factor with m split Z/mZ into several cycles;
+    # a generator = 0 mod m is a self-loop.
+    p = profile_from_generators(GeneratorSet(gens))
+    m = gens[0]
+    members = sieve_members(list(gens), sieve_window(list(gens)))
+    first = [min(n for n in range(r, len(members), m) if members[n]) for r in range(m)]
+    assert p.apery == tuple(first)
 
 
 def test_apery_structure_random():
