@@ -4,15 +4,13 @@ reference count table, and the cross-verification suite.
 Output formats: human-aligned text (default), deterministic JSON
 (``--format json``), and CSV for tabular payloads (``--format csv``).
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-arithmetic error.  ``SKAB_THREADS`` caps internal parallelism of the
-family enumeration (default 1; results are identical either way).
+arithmetic error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import curve, families, semigroup
@@ -42,19 +40,6 @@ _CAPS = {
     "stats": {"rational": 6, "quartic": 6, "generic": 3},
 }
 _ENGINE_S_MAX = 3  # beyond this, stats come from the closed-form Apery data
-
-
-def _threads() -> int:
-    raw = os.environ.get("SKAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise UnsupportedCombination(f"SKAB_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _special_profile(p, point: str) -> semigroup.SemigroupProfile:
@@ -102,7 +87,6 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
 
     payload: dict = {"s": p.s, "q0": p.q0, "q": p.q, "genus": p.genus,
                      "point": point, "emit": emit}
-    threads = _threads()
 
     if point == "generic":
         if emit == "gaps":
@@ -118,7 +102,7 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
                     for r in records
                 ]
             else:
-                gap_set, _ = families.enumerate_values(p, threads=threads)
+                gap_set, _ = families.enumerate_values(p)
                 payload["gaps"] = list(gap_set.gaps)
         elif emit == "stats":
             profile = families.generic_semigroup(p)
@@ -153,12 +137,11 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
 def cmd_table1(max_s: int) -> tuple[dict, int]:
     if not 1 <= max_s <= 3:
         raise UnsupportedCombination("table rows are available for s in 1..3")
-    threads = _threads()
     rows = []
     mismatches = []
     for s in range(1, max_s + 1):
         p = curve.make_params(s)
-        _, counts = families.enumerate_values(p, threads=threads)
+        _, counts = families.enumerate_values(p)
         row = [counts[fid] for fid in families.FamilyId]
         row += [sum(row), p.genus]
         entry = {"s": s, "F1": row[0], "F2": row[1], "F3": row[2], "F4": row[3],
@@ -186,7 +169,6 @@ def _check(name: str, s: int, passed: bool, observed, expected, informational=Fa
 def cmd_verify(s_lo: int, s_hi: int, sampled: bool = False) -> tuple[dict, int]:
     if not 1 <= s_lo <= s_hi <= 3:
         raise UnsupportedCombination("verify supports s ranges within 1..3")
-    threads = _threads()
     checks: list[dict] = []
     for s in range(s_lo, s_hi + 1):
         p = curve.make_params(s)
@@ -215,7 +197,7 @@ def cmd_verify(s_lo: int, s_hi: int, sampled: bool = False) -> tuple[dict, int]:
         phi_sum = sum(curve.phi(p, i) for i in range(curve.quartic_multiplicity(p)))
         checks.append(_check("phi_sum_genus", s, phi_sum == p.genus, phi_sum, p.genus))
 
-        gap_set, counts = families.enumerate_values(p, threads=threads)
+        gap_set, counts = families.enumerate_values(p)
         total = sum(counts.values())
         checks.append(_check("family_disjointness", s, len(gap_set.gaps) == total,
                              len(gap_set.gaps), total))

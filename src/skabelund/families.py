@@ -115,119 +115,135 @@ def family_value(p: CurveParams, fid: FamilyId, fp: FamilyParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration.  Each _raw_* iterator yields (value, a1, a2, a3, a4, f, n, c, d)
-# in a fixed lexicographic order of its loop variables, so output is
-# deterministic; callers sort by value afterwards.
+# Enumeration.  Each family is a list of arithmetic progressions ("rows"):
+# the outer indices (a1, a2, a3, n, c, d) are fixed along a row, and the
+# innermost (a4, f) pair moves along a line.  F1 gets one row per
+# (a1, a2, a3, a4), with f = 0, 1, ..., cap - s3 - a4; F2..F6 fix sigma and
+# get one row per outer tuple, with a4 = 0, 1, ..., min(a4cap, sigma - s3)
+# and f = sigma - s3 - a4.  Rows and the values along them come in the
+# lexicographic order of the loop variables, so output is deterministic.
 
-def _raw_f1(p: CurveParams) -> Iterator[tuple[int, ...]]:
+_COLUMNS = ("a1", "a2", "a3", "a4", "f", "n", "c", "d")
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The progression rows of one family, as int64 columns.
+
+    Row i holds ``length[i]`` values.  Its exponents start at
+    ``start[:, i]`` (in ``_COLUMNS`` order) and move by (da4, df) in
+    (a4, f) per step, so its value starts at ``value[i]`` and moves by
+    ``step`` = da4*q + df*q^2.
+    """
+
+    start: np.ndarray
+    length: np.ndarray
+    value: np.ndarray
+    da4: int
+    df: int
+    step: int
+
+
+def _grid(keep, **axes: int) -> dict[str, np.ndarray]:
+    """Index tuples over [0, n) per axis, in keyword (loop) order, kept
+    where ``keep`` of the columns holds (all when ``keep`` is None)."""
+    shape = tuple(axes.values())
+    cols = dict(zip(axes, np.indices(shape, dtype=np.int64).reshape(len(shape), -1)))
+    if keep is None:
+        return cols
+    mask = keep(cols)
+    return {k: v[mask] for k, v in cols.items()}
+
+
+def _family_rows(p: CurveParams, fid: FamilyId) -> _Rows:
+    """The one description of each family: outer index ranges, sigma, the
+    a4 cap and the value offset."""
     q0, q = p.q0, p.q
     qq = q * q
-    cap = q - 2
-    for a1 in range(q0):
-        for a2 in range(2):
-            for a3 in range(q0):
-                s3 = a1 + a2 + a3
-                if s3 > cap:
-                    continue
-                base = a1 + a2 * q0 + a3 * 2 * q0 + 1
-                for a4 in range(cap - s3 + 1):
-                    v = base + a4 * q
-                    for f in range(cap - s3 - a4 + 1):
-                        yield (v + f * qq, a1, a2, a3, a4, f, 0, 0, 0)
+    if fid is FamilyId.F1:
+        t = _grid(None, a1=q0, a2=2, a3=q0)
+        sigma, a4cap, offset = q - 2, None, 1
+    elif fid is FamilyId.F2:
+        t = _grid(lambda t: t["n"] >= 1, n=2 * q0 - 1, a1=q0, a2=2, a3=q0)
+        n = t["n"]
+        sigma, a4cap, offset = q - q0 - 2 - n * q0 + n, q - q0 - 1 - n * q0, (n + 1) * q0 * q + 1
+    elif fid is FamilyId.F3:
+        t = _grid(lambda t: t["a1"] < q0 - 1 - t["n"], n=q0 - 1, a1=q0, a2=2, a3=q0)
+        n = t["n"]
+        sigma, a4cap, offset = q - q0 - 2 - 2 * n * q0 + n, q0 - 1, (2 * n + 1) * q0 * q + n + 2
+    elif fid is FamilyId.F4:
+        t = _grid(lambda t: t["a1"] < q0 - 2 - t["n"], n=q0 - 2, a1=q0, a2=2, a3=q0)
+        n = t["n"]
+        sigma, a4cap, offset = q - 2 * q0 - 2 - 2 * n * q0 + n, q0 - 1, (2 * n + 2) * q0 * q + n + 3
+    elif fid is FamilyId.F5:
+        t = _grid(lambda t: (t["d"] >= 1 - t["c"]) & (t["a2"] < 2 - t["c"]) & (t["a3"] < q0 - t["d"]),
+                  c=2, d=q0, a2=2, a3=q0)
+        c, d = t["c"], t["d"]
+        sigma, a4cap = q - 2 - 2 * d * q0 - c * q0, q0 - 1
+        offset = c * q0 * (q + 1) + d * (2 * q * q0 + 2 * q0 + 1) + 1
+    else:
+        t = _grid(lambda t: t["a3"] <= t["n"], n=q0 - 1, a3=q0)
+        n = t["n"]
+        sigma, a4cap, offset = q - 2 * q0 - 2 - 2 * n * q0 + n, q0 - 1, q0 + (2 * n + 2) * q0 * q + n + 2
+
+    zero = np.zeros_like(t["a3"])
+    a1, a2, a3 = (t.get(k, zero) for k in ("a1", "a2", "a3"))
+    budget = sigma - a1 - a2 - a3
+    if fid is FamilyId.F1:
+        # rows a4 = 0..budget of each outer tuple, f = 0..budget - a4 along each
+        reps = np.maximum(budget + 1, 0)
+        outer = np.repeat(np.arange(len(reps)), reps)
+        a4, f = _steps(reps), np.zeros(len(outer), dtype=np.int64)
+        length = budget[outer] - a4 + 1
+        da4, df = 0, 1
+    else:
+        length = np.minimum(a4cap, budget) + 1
+        outer = np.flatnonzero(length > 0)
+        a4, f, length = np.zeros(len(outer), dtype=np.int64), budget[outer], length[outer]
+        da4, df = 1, -1
+    cols = {**{k: v[outer] for k, v in t.items()}, "a4": a4, "f": f}
+    start = np.stack([cols.get(k, np.zeros_like(a4)) for k in _COLUMNS])
+    value = (offset + a1 + a2 * q0 + a3 * 2 * q0)[outer] + a4 * q + f * qq
+    return _Rows(start, length, value, da4, df, da4 * q + df * qq)
 
 
-def _raw_f2(p: CurveParams) -> Iterator[tuple[int, ...]]:
+def _steps(length: np.ndarray) -> np.ndarray:
+    """0, 1, ..., length[i] - 1 for each i in turn, concatenated."""
+    return np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+
+
+def _expand(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """Every value of every row, row after row, and the step index of each
+    value along its row."""
+    k = _steps(rows.length)
+    values = np.repeat(rows.value, rows.length)
+    values += k * rows.step
+    return values, k
+
+
+def _expand_exponents(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """Values as :func:`_expand`, with their exponent columns (``_COLUMNS``
+    order, one column per value)."""
+    values, k = _expand(rows)
+    cols = np.repeat(rows.start, rows.length, axis=1)
+    cols[3] += k * rows.da4
+    cols[4] += k * rows.df
+    return values, cols
+
+
+def _records(p: CurveParams, fid: FamilyId, values: np.ndarray,
+             cols: np.ndarray) -> Iterator[GapRecord]:
     q0, q = p.q0, p.q
-    qq = q * q
-    for n in range(1, 2 * q0 - 1):
-        sigma = q - q0 - 2 - n * q0 + n
-        a4cap = q - q0 - 1 - n * q0
-        offset = (n + 1) * q0 * q + 1
-        for a1 in range(q0):
-            for a2 in range(2):
-                for a3 in range(q0):
-                    s3 = a1 + a2 + a3
-                    base = a1 + a2 * q0 + a3 * 2 * q0 + offset
-                    for a4 in range(min(a4cap, sigma - s3) + 1):
-                        f = sigma - s3 - a4
-                        yield (base + a4 * q + f * qq, a1, a2, a3, a4, f, n, 0, 0)
-
-
-def _raw_f3(p: CurveParams) -> Iterator[tuple[int, ...]]:
-    q0, q = p.q0, p.q
-    qq = q * q
-    for n in range(q0 - 1):
-        sigma = q - q0 - 2 - 2 * n * q0 + n
-        offset = (2 * n + 1) * q0 * q + n + 2
-        for a1 in range(q0 - 1 - n):
-            for a2 in range(2):
-                for a3 in range(q0):
-                    s3 = a1 + a2 + a3
-                    base = a1 + a2 * q0 + a3 * 2 * q0 + offset
-                    for a4 in range(min(q0 - 1, sigma - s3) + 1):
-                        f = sigma - s3 - a4
-                        yield (base + a4 * q + f * qq, a1, a2, a3, a4, f, n, 0, 0)
-
-
-def _raw_f4(p: CurveParams) -> Iterator[tuple[int, ...]]:
-    q0, q = p.q0, p.q
-    qq = q * q
-    for n in range(q0 - 2):
-        sigma = q - 2 * q0 - 2 - 2 * n * q0 + n
-        offset = (2 * n + 2) * q0 * q + n + 3
-        for a1 in range(q0 - 2 - n):
-            for a2 in range(2):
-                for a3 in range(q0):
-                    s3 = a1 + a2 + a3
-                    base = a1 + a2 * q0 + a3 * 2 * q0 + offset
-                    for a4 in range(min(q0 - 1, sigma - s3) + 1):
-                        f = sigma - s3 - a4
-                        yield (base + a4 * q + f * qq, a1, a2, a3, a4, f, n, 0, 0)
-
-
-def _raw_f5(p: CurveParams) -> Iterator[tuple[int, ...]]:
-    q0, q = p.q0, p.q
-    qq = q * q
-    for c in (0, 1):
-        for d in range(1 - c, q0):
-            sigma = q - 2 - 2 * d * q0 - c * q0
-            offset = c * q0 * (q + 1) + d * (2 * q * q0 + 2 * q0 + 1) + 1
-            for a2 in range(2 - c):
-                for a3 in range(q0 - d):
-                    s3 = a2 + a3
-                    base = a2 * q0 + a3 * 2 * q0 + offset
-                    for a4 in range(min(q0 - 1, sigma - s3) + 1):
-                        f = sigma - s3 - a4
-                        yield (base + a4 * q + f * qq, 0, a2, a3, a4, f, 0, c, d)
-
-
-def _raw_f6(p: CurveParams) -> Iterator[tuple[int, ...]]:
-    q0, q = p.q0, p.q
-    qq = q * q
-    for n in range(q0 - 1):
-        sigma = q - 2 * q0 - 2 - 2 * n * q0 + n
-        offset = q0 + (2 * n + 2) * q0 * q + n + 2
-        for a3 in range(n + 1):
-            base = a3 * 2 * q0 + offset
-            for a4 in range(min(q0 - 1, sigma - a3) + 1):
-                f = sigma - a3 - a4
-                yield (base + a4 * q + f * qq, 0, 0, a3, a4, f, n, 0, 0)
-
-
-_RAW_ITERS = {
-    FamilyId.F1: _raw_f1,
-    FamilyId.F2: _raw_f2,
-    FamilyId.F3: _raw_f3,
-    FamilyId.F4: _raw_f4,
-    FamilyId.F5: _raw_f5,
-    FamilyId.F6: _raw_f6,
-}
+    a1, a2, a3, a4, f = cols[:5]
+    sigma = a1 + a2 + a3 + a4 + f
+    nu = a1 + a2 * q0 + a3 * 2 * q0 + a4 * q + f * q * q
+    for v, exps, sg, nv in zip(values.tolist(), cols.T.tolist(), sigma.tolist(), nu.tolist()):
+        yield GapRecord(v, fid, FamilyParams(*exps, sg, nv))
 
 
 def iter_family_records(p: CurveParams, fid: FamilyId) -> Iterator[GapRecord]:
-    """Lazily yield the records of one family in loop order."""
-    for v, a1, a2, a3, a4, f, n, c, d in _RAW_ITERS[fid](p):
-        yield GapRecord(v, fid, _params(p, a1, a2, a3, a4, f, n, c, d))
+    """Yield the records of one family in loop order."""
+    yield from _records(p, fid, *_expand_exponents(_family_rows(p, fid)))
 
 
 def enumerate_family(p: CurveParams, fid: FamilyId) -> list[GapRecord]:
@@ -237,134 +253,62 @@ def enumerate_family(p: CurveParams, fid: FamilyId) -> list[GapRecord]:
     return records
 
 
-class _GapBitset:
-    """Duplicate-detecting bitset over [0, 2g)."""
-
-    def __init__(self, p: CurveParams) -> None:
-        self.limit = 2 * p.genus
-        self.bits = bytearray((self.limit + 7) >> 3)
-        self.count = 0
-
-    def insert(self, v: int) -> None:
-        if not 1 <= v < self.limit:
-            raise RuntimeError(f"gap value {v} outside [1, {self.limit})")
-        byte, bit = v >> 3, 1 << (v & 7)
-        if self.bits[byte] & bit:
-            raise DuplicateGap(f"value {v} produced twice")
-        self.bits[byte] |= bit
-        self.count += 1
-
-    def sorted_values(self) -> tuple[int, ...]:
-        arr = np.unpackbits(np.frombuffer(bytes(self.bits), dtype=np.uint8),
-                            bitorder="little")[: self.limit]
-        return tuple(int(v) for v in np.nonzero(arr)[0])
-
-
 def iter_family_values(p: CurveParams, fid: FamilyId) -> Iterator[int]:
-    """Lazily yield the values of one family, without parameter records."""
-    for row in _RAW_ITERS[fid](p):
-        yield row[0]
+    """Yield the values of one family in loop order, without records."""
+    yield from _expand(_family_rows(p, fid))[0].tolist()
 
 
-def enumerate_values(p: CurveParams, threads: int = 1) -> tuple[GapSet, dict[FamilyId, int]]:
-    """Stream all six families into a bitset without retaining records.
+def _mark_gaps(chunks: list[np.ndarray], limit: int) -> np.ndarray:
+    """Mark every value of ``chunks`` in a bool array over [0, limit).
+
+    Raises RuntimeError on a value outside [1, limit), and DuplicateGap
+    naming the first value, in chunk order, that is already marked.  The
+    values are disjoint iff the marks number as many as the values, so
+    the repeat is looked for only when the two counts differ.
+    """
+    marked = np.zeros(limit, dtype=bool)
+    for values in chunks:
+        outside = (values < 1) | (values >= limit)
+        if outside.any():
+            raise RuntimeError(f"gap value {values[outside][0]} outside [1, {limit})")
+        marked[values] = True
+    if np.count_nonzero(marked) != sum(len(values) for values in chunks):
+        every = np.concatenate(chunks)
+        repeat = np.ones(len(every), dtype=bool)
+        repeat[np.unique(every, return_index=True)[1]] = False
+        raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")
+    return marked
+
+
+def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
+    """Mark all six families in one bitset without building records.
 
     Returns the combined gap set (bound 2g) and the per-family counts.
     Raises DuplicateGap on any collision, within or across families.
-    The families are independent, so with ``threads > 1`` they are
-    enumerated concurrently; the merge is a fixed-order insertion either
-    way, so the result is identical.
     """
-    bitset = _GapBitset(p)
-    counts: dict[FamilyId, int] = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        order = list(FamilyId)
-        with ThreadPoolExecutor(max_workers=min(threads, len(order))) as pool:
-            value_lists = list(pool.map(lambda fid: list(iter_family_values(p, fid)), order))
-        for fid, values in zip(order, value_lists):
-            for v in values:
-                bitset.insert(v)
-            counts[fid] = len(values)
-    else:
-        for fid in FamilyId:
-            before = bitset.count
-            for v in iter_family_values(p, fid):
-                bitset.insert(v)
-            counts[fid] = bitset.count - before
-    return GapSet(bitset.sorted_values(), bitset.limit), counts
+    chunks = [_expand(_family_rows(p, fid))[0] for fid in FamilyId]
+    counts = {fid: len(values) for fid, values in zip(FamilyId, chunks)}
+    marked = _mark_gaps(chunks, 2 * p.genus)
+    return GapSet(tuple(np.flatnonzero(marked).tolist()), 2 * p.genus), counts
 
 
 def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
     """Union of the six families with full records, sorted by value."""
-    bitset = _GapBitset(p)
-    records: list[GapRecord] = []
-    for fid in FamilyId:
-        for rec in iter_family_records(p, fid):
-            bitset.insert(rec.value)
-            records.append(rec)
+    expanded = [_expand_exponents(_family_rows(p, fid)) for fid in FamilyId]
+    _mark_gaps([values for values, _ in expanded], 2 * p.genus)
+    records = [rec for fid, (values, cols) in zip(FamilyId, expanded)
+               for rec in _records(p, fid, values, cols)]
     records.sort(key=lambda r: r.value)
-    return GapSet(tuple(r.value for r in records), bitset.limit), records
+    return GapSet(tuple(r.value for r in records), 2 * p.genus), records
 
 
 def count_family(p: CurveParams, fid: FamilyId) -> int:
-    """Family cardinality with the two innermost loops collapsed.
+    """Family cardinality: the summed lengths of its rows.
 
-    Counts (a4, f) pairs arithmetically instead of enumerating them, so
-    this stays fast even where full enumeration is impractical.
+    Counts without expanding the rows, so this stays fast even where full
+    enumeration is impractical.
     """
-    q0, q = p.q0, p.q
-
-    def pairs(budget: int) -> int:
-        # number of (a4, f) with a4, f >= 0 and a4 + f <= budget
-        return (budget + 1) * (budget + 2) // 2 if budget >= 0 else 0
-
-    def capped(budget: int, a4cap: int) -> int:
-        # number of a4 in [0, a4cap] with budget - a4 >= 0
-        return min(a4cap, budget) + 1 if budget >= 0 and a4cap >= 0 else 0
-
-    total = 0
-    if fid is FamilyId.F1:
-        for a1 in range(q0):
-            for a2 in range(2):
-                for a3 in range(q0):
-                    total += pairs(q - 2 - a1 - a2 - a3)
-    elif fid is FamilyId.F2:
-        for n in range(1, 2 * q0 - 1):
-            sigma = q - q0 - 2 - n * q0 + n
-            a4cap = q - q0 - 1 - n * q0
-            for a1 in range(q0):
-                for a2 in range(2):
-                    for a3 in range(q0):
-                        total += capped(sigma - a1 - a2 - a3, a4cap)
-    elif fid is FamilyId.F3:
-        for n in range(q0 - 1):
-            sigma = q - q0 - 2 - 2 * n * q0 + n
-            for a1 in range(q0 - 1 - n):
-                for a2 in range(2):
-                    for a3 in range(q0):
-                        total += capped(sigma - a1 - a2 - a3, q0 - 1)
-    elif fid is FamilyId.F4:
-        for n in range(q0 - 2):
-            sigma = q - 2 * q0 - 2 - 2 * n * q0 + n
-            for a1 in range(q0 - 2 - n):
-                for a2 in range(2):
-                    for a3 in range(q0):
-                        total += capped(sigma - a1 - a2 - a3, q0 - 1)
-    elif fid is FamilyId.F5:
-        for c in (0, 1):
-            for d in range(1 - c, q0):
-                sigma = q - 2 - 2 * d * q0 - c * q0
-                for a2 in range(2 - c):
-                    for a3 in range(q0 - d):
-                        total += capped(sigma - a2 - a3, q0 - 1)
-    else:
-        for n in range(q0 - 1):
-            sigma = q - 2 * q0 - 2 - 2 * n * q0 + n
-            for a3 in range(n + 1):
-                total += capped(sigma - a3, q0 - 1)
-    return total
+    return int(_family_rows(p, fid).length.sum())
 
 
 def family_count_closed_form(p: CurveParams, fid: FamilyId) -> int:
@@ -426,16 +370,15 @@ def generic_semigroup(p: CurveParams, closure: str = "auto",
     two_g = 2 * p.genus
 
     member = np.ones(two_g, dtype=bool)
-    gaps = np.asarray(gap_set.gaps, dtype=np.int64)
-    member[gaps] = False
-    m = int(np.nonzero(member[1:])[0][0]) + 1
-
-    n = np.arange(two_g + m, dtype=np.int64)
-    mem_ext = np.concatenate([member, np.ones(m, dtype=bool)])
-    cand = n[mem_ext]
-    res = cand % m
-    _, first = np.unique(res, return_index=True)  # residues sorted 0..m-1
-    profile = SemigroupProfile.from_apery(int(v) for v in cand[first])
+    member[np.asarray(gap_set.gaps, dtype=np.int64)] = False
+    m = int(np.argmax(member[1:])) + 1
+    # Pad with ones to a multiple of m past 2g + m, so that every residue
+    # has a member; the first member in each column is its Apery element.
+    rows = -(-(two_g + m) // m)
+    padded = np.ones(rows * m, dtype=bool)
+    padded[:two_g] = member
+    apery = padded.reshape(rows, m).argmax(axis=0) * m + np.arange(m)
+    profile = SemigroupProfile.from_apery(apery.tolist())
 
     if profile.genus != p.genus:
         raise RuntimeError(

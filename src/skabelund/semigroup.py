@@ -21,7 +21,9 @@ number then follow by direct arithmetic:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -99,7 +101,8 @@ class GapSet:
     bound: int
 
     def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.gaps, self.gaps[1:])):
+        g = self.gaps
+        if not all(map(operator.lt, g, islice(g, 1, None))):
             raise ValueError("gaps must be strictly increasing")
         if self.gaps:
             if self.gaps[0] < 1:
@@ -181,9 +184,14 @@ def contains(p: SemigroupProfile, n: int) -> bool:
 
 
 def gaps_of(p: SemigroupProfile) -> GapSet:
-    """All gaps of the semigroup; n is a gap iff n < apery[n mod m]."""
+    """All gaps of the semigroup; n is a gap iff n < apery[n mod m].
+
+    With n = k*m + r, that reads k < (apery[r] - r) / m, so the gaps are
+    the flat indices, in order, where a (rows, m) table of it holds.
+    """
     m = p.multiplicity
-    gaps = sorted(n for r, a in enumerate(p.apery) for n in range(r, a, m))
+    heights = (np.asarray(p.apery, dtype=np.int64) - np.arange(m)) // m
+    gaps = np.flatnonzero(np.arange(heights.max())[:, None] < heights).tolist()
     return GapSet(tuple(gaps), p.conductor)
 
 

@@ -159,7 +159,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     import skabelund.cli as cli
     from skabelund import DuplicateGap
 
-    def boom(p, threads=1):
+    def boom(p):
         raise DuplicateGap("value 7 produced twice")
 
     monkeypatch.setattr(cli.families, "enumerate_values", boom)
@@ -196,17 +196,6 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     code2 = main(["params", "--s", "3", "--format", "json", "--out", str(target)])
     assert code == code2 == 0
     assert target.read_text(encoding="utf-8") == out
-
-
-def test_skab_threads(capsys, monkeypatch):
-    base = run(capsys, "table1", "--max-s", "2", "--format", "csv")
-    monkeypatch.setenv("SKAB_THREADS", "4")
-    threaded = run(capsys, "table1", "--max-s", "2", "--format", "csv")
-    assert base == threaded
-    monkeypatch.setenv("SKAB_THREADS", "0")
-    assert run(capsys, "table1", "--max-s", "1")[0] == 2
-    monkeypatch.setenv("SKAB_THREADS", "garbage")
-    assert run(capsys, "table1", "--max-s", "1")[0] == 2
 
 
 def test_module_entry_point():

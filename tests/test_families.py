@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from skabelund import (
@@ -23,7 +24,7 @@ from skabelund import (
     normalize_generators,
     profile_from_generators,
 )
-from skabelund.families import _GapBitset
+from skabelund.families import _mark_gaps
 
 TABLE1_COUNTS = {
     1: (146, 31, 8, 0, 9, 2),
@@ -120,24 +121,51 @@ def test_enumerate_all_size_one(p1, records_s1):
     assert values == sorted(values)
 
 
-def test_enumerate_values_matches_enumerate_all(p2, records_s2):
-    gap_set, records = records_s2
-    streamed, counts = enumerate_values(p2)
+@pytest.mark.parametrize("s", [1, 2])
+def test_enumerate_values_matches_enumerate_all(s, request):
+    p = request.getfixturevalue(f"p{s}")
+    gap_set, records = request.getfixturevalue(f"records_s{s}")
+    streamed, counts = enumerate_values(p)
     assert streamed.gaps == gap_set.gaps
-    from collections import Counter
-
-    assert counts == Counter(r.family for r in records)
+    assert counts == {fid: sum(r.family is fid for r in records) for fid in FamilyId}
 
 
 def test_gap_bitset_guards(p1):
-    bitset = _GapBitset(p1)
-    bitset.insert(5)
-    with pytest.raises(DuplicateGap):
-        bitset.insert(5)
+    limit = 2 * p1.genus
+    assert np.flatnonzero(_mark_gaps([np.array([5]), np.array([7])], limit)).tolist() == [5, 7]
+    with pytest.raises(DuplicateGap, match="^value 5 produced twice$"):
+        _mark_gaps([np.array([5, 6]), np.array([7, 5])], limit)
     with pytest.raises(RuntimeError):
-        bitset.insert(0)
+        _mark_gaps([np.array([0])], limit)
     with pytest.raises(RuntimeError):
-        bitset.insert(2 * p1.genus)
+        _mark_gaps([np.array([limit])], limit)
+    with pytest.raises(UnsupportedS):
+        generic_semigroup(make_params(4))
+
+
+def test_duplicated_row_names_first_repeat(p2, monkeypatch):
+    # one F2 progression row listed twice in a row: the first repeated
+    # value, in enumeration order, is where the copy starts
+    import dataclasses
+
+    import skabelund.families as fam
+
+    real = fam._family_rows
+    row = 5
+
+    def doubled(p, fid):
+        rows = real(p, fid)
+        if fid is not FamilyId.F2:
+            return rows
+        idx = np.insert(np.arange(len(rows.length)), row, row)
+        return dataclasses.replace(rows, start=rows.start[:, idx],
+                                   length=rows.length[idx], value=rows.value[idx])
+
+    monkeypatch.setattr(fam, "_family_rows", doubled)
+    first = int(real(p2, FamilyId.F2).value[row])
+    for enumerate_ in (fam.enumerate_values, fam.enumerate_all):
+        with pytest.raises(DuplicateGap, match=f"^value {first} produced twice$"):
+            enumerate_(p2)
 
 
 def test_binom_sum_check():
