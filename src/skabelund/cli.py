@@ -3,8 +3,8 @@ reference count table, and the cross-verification suite.
 
 Output formats: human-aligned text (default), deterministic JSON
 (``--format json``), and CSV for tabular payloads (``--format csv``).
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-arithmetic error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+unwritable ``--out`` path), 3 internal arithmetic error or exhausted memory.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def _check(name: str, s: int, passed: bool, observed, expected, informational=Fa
             "expected": expected, "informational": informational}
 
 
-def cmd_verify(s_lo: int, s_hi: int, sampled: bool = False) -> tuple[dict, int]:
+def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
     if not 1 <= s_lo <= s_hi <= 3:
         raise UnsupportedCombination("verify supports s ranges within 1..3")
     checks: list[dict] = []
@@ -207,10 +207,10 @@ def cmd_verify(s_lo: int, s_hi: int, sampled: bool = False) -> tuple[dict, int]:
             checks.append(_check(f"closed_form_{fid.name}", s, counts[fid] == closed,
                                  counts[fid], closed, informational=s <= 2))
 
-        closure_mode = "sampled" if (sampled or s == 3) else "full"
-        profile = families.generic_semigroup(p, closure=closure_mode)
-        checks.append(_check(f"generic_closure_{closure_mode}", s, True,
-                             "closed", "closed"))
+        profile = families.generic_semigroup(p)
+        # Closure is exact at every s; s = 3 keeps its old label, pinned by bench/digests.json.
+        closure = "generic_closure_sampled" if s == 3 else "generic_closure_full"
+        checks.append(_check(closure, s, True, "closed", "closed"))
         checks.append(_check("generic_genus", s, profile.genus == p.genus,
                              profile.genus, p.genus))
 
@@ -360,8 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the full cross-verification suite")
     p_verify.add_argument("--s", type=_parse_range, default=(1, 2), metavar="N..M")
-    p_verify.add_argument("--sampled", action="store_true",
-                          help="use sampled pairs for the closure check")
     return parser
 
 
@@ -380,29 +378,33 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "table1":
             kind, (payload, code) = "table1", cmd_table1(args.max_s)
         else:
-            kind, (payload, code) = "verify", cmd_verify(*args.s, sampled=args.sampled)
-        _emit(render(kind, payload, args.format), args.out)
-        return code
+            kind, (payload, code) = "verify", cmd_verify(*args.s)
+        return _emit(render(kind, payload, args.format), args.out) or code
     except TableMismatch as exc:
         report = getattr(exc, "report", None)
-        if report is not None:
-            _emit(render("table1", report, args.format), args.out)
+        failed = report is not None and _emit(render("table1", report, args.format), args.out)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return failed or 1
     except (UnsupportedS, UnsupportedCombination, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SkabelundError as exc:
+    except (SkabelundError, MemoryError) as exc:
         print(f"internal error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 3
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None) -> int:
+    """Write the report; 0, or the usage-error code 2 when PATH cannot be written."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -104,7 +104,7 @@ def quartic_generators(p: CurveParams) -> GeneratorSet:
     """The 3*q0 + 3 generators of the semigroup at a quartic point.
 
     Collisions among the listed values, if any, are silently deduplicated;
-    no minimality is claimed for this list.
+    the list is minimal, checked for s <= 3.
     """
     q0, q = p.q0, p.q
     g0 = q * q - q + 1

@@ -46,7 +46,7 @@ class NotClosed(SkabelundError):
 
 
 class NoWitness(SkabelundError):
-    """Exhaustive exponent search found no witness vector (internal bug)."""
+    """A gap's family seed is no witness vector (internal bug)."""
 
 
 class UnsupportedCombination(SkabelundError):

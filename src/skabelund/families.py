@@ -1,4 +1,4 @@
-"""The six gap families at generic points, and gap-witness search.
+"""The six gap families at generic points, and their gap witnesses.
 
 At a point outside the F_{q^4}-rational locus, the gap set of the
 Weierstrass semigroup is the disjoint union of six parameterised families
@@ -19,10 +19,8 @@ infinity stays within 2g - 2.  Witnesses certify the value is a gap.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -37,7 +35,7 @@ from .errors import (
     Overflow,
     UnsupportedS,
 )
-from .semigroup import GapSet, SemigroupProfile, contains, verify_cofinite_complement
+from .semigroup import GapSet, SemigroupProfile, minimal_generators
 
 
 class FamilyId(Enum):
@@ -347,25 +345,17 @@ def binom_sum_check(n: int) -> bool:
     return sum(comb(sig + 4, 4) for sig in range(n + 1)) == comb(n + 5, 5)
 
 
-_CLOSURE_SAMPLES = 100_000
-
-
-def generic_semigroup(p: CurveParams, closure: str = "auto",
-                      rng_seed: int = 0) -> SemigroupProfile:
+def generic_semigroup(p: CurveParams) -> SemigroupProfile:
     """The semigroup at a generic point: complement of the six families.
 
-    Builds the complement bitset over [0, 2g), extracts the Apery set, and
-    verifies additive closure.  ``closure`` is "full" (every pair below
-    twice the conductor), "sampled" (random pairs), or "auto": full for
-    s <= 2, sampled at s = 3 where the window is ~2 * 10^6 and pairwise
-    checking stops being a sane default.
+    Builds the complement C over [0, 2g), extracts its Apery set, and
+    certifies exactly that C is a semigroup.  C lies inside the set the
+    Apery array describes, so the two are equal iff they have as many
+    gaps; that set is closed iff the minimal-generator sweep ends on the
+    same Apery array.  Either failure raises NotClosed.
     """
     if p.s > 3:
         raise UnsupportedS("generic-point enumeration is supported for s <= 3")
-    if closure not in ("auto", "full", "sampled"):
-        raise ValueError(f"unknown closure mode {closure!r}")
-    if closure == "auto":
-        closure = "full" if p.s <= 2 else "sampled"
     gap_set, _ = enumerate_values(p)
     two_g = 2 * p.genus
 
@@ -384,23 +374,15 @@ def generic_semigroup(p: CurveParams, closure: str = "auto",
         raise RuntimeError(
             f"complement profile has genus {profile.genus}, expected {p.genus}"
         )
-    if closure == "full":
-        window = GapSet(gap_set.gaps, 2 * profile.conductor)
-        if not verify_cofinite_complement(window):
-            raise NotClosed("complement fails pairwise additive closure")
-    else:
-        rng = random.Random(rng_seed)
-        for _ in range(_CLOSURE_SAMPLES):
-            x = rng.randrange(profile.conductor)
-            y = rng.randrange(profile.conductor)
-            if contains(profile, x) and contains(profile, y):
-                if not contains(profile, x + y):
-                    raise NotClosed(f"{x} + {y} = {x + y} left the complement")
+    if len(gap_set.gaps) != profile.genus:
+        raise NotClosed(f"complement has {len(gap_set.gaps)} gaps, its Apery set "
+                        f"{profile.genus}: a gap lies above a member of its residue")
+    minimal_generators(profile)
     return profile
 
 
 # ---------------------------------------------------------------------------
-# Witness search.
+# Witnesses.
 
 @dataclass(frozen=True, slots=True)
 class WitnessVector:
@@ -444,40 +426,6 @@ def witness_pole_cost(p: CurveParams, w: WitnessVector) -> int:
     return _axis(pole_order_table(p), w, 1)
 
 
-@lru_cache(maxsize=None)
-def _witness_items(p: CurveParams) -> tuple[tuple[int, int, object], ...]:
-    """Building blocks as (valuation, pole, slot), sorted by valuation
-    descending so the search tries the big strides first."""
-    t = pole_order_table(p)
-    items: list[tuple[int, int, object]] = [
-        (*t.pi, "f"), (*t.w, "a4"), (*t.z, "a3"), (*t.y, "a2"), (*t.x, "a1"),
-        (*t.f1, "c"), (*t.f2, "d"),
-    ]
-    items.extend((*entry, ("b", n)) for n, entry in enumerate(t.h, start=1))
-    items.extend((*entry, ("e", n)) for n, entry in enumerate(t.g))
-    items.sort(key=lambda it: -it[0])
-    return tuple(items)
-
-
-def _vector_from_slots(p: CurveParams, slots: dict) -> WitnessVector:
-    b = [0] * (2 * p.q0 - 2)
-    e = [0] * (p.q0 - 1)
-    scalars = {"a1": 0, "a2": 0, "a3": 0, "a4": 0, "f": 0, "c": 0, "d": 0}
-    for slot, exp in slots.items():
-        if isinstance(slot, tuple):
-            kind, n = slot
-            if kind == "b":
-                b[n - 1] = exp
-            else:
-                e[n] = exp
-        else:
-            scalars[slot] = exp
-    return WitnessVector(
-        scalars["a1"], scalars["a2"], scalars["a3"], scalars["a4"], scalars["f"],
-        tuple(b), scalars["c"], scalars["d"], tuple(e),
-    )
-
-
 def _family_seed(p: CurveParams, record: GapRecord) -> WitnessVector:
     """Read a witness straight off the family parameters.
 
@@ -507,47 +455,14 @@ def _family_seed(p: CurveParams, record: GapRecord) -> WitnessVector:
 
 
 def gap_witness(p: CurveParams, record: GapRecord) -> WitnessVector:
-    """Find an exponent vector with valuation value - 1 and pole cost
-    within 2g - 2.
+    """The family seed of a record, checked to be a witness: valuation
+    value - 1 and pole cost within 2g - 2.
 
-    The family seed is tried first and is expected to succeed for every
-    record; as a fallback, a depth-first search over the building blocks
-    runs with exponents bounded by the remaining valuation and pruned
-    against the best possible pole/valuation ratio (the ratio of the
-    degree-q^2 block).  Exhaustion raises NoWitness, which would
-    contradict the gap property.
+    The seeds certify every gap at s = 1, 2 and 3.  A seed that fails
+    raises NoWitness, which would contradict the gap property.
     """
-    target = record.value - 1
     budget = p.two_g_minus_2
     seed = _family_seed(p, record)
-    if witness_valuation(p, seed) == target and witness_pole_cost(p, seed) <= budget:
-        return seed
-
-    items = _witness_items(p)
-    q2 = p.q * p.q
-    chosen: dict = {}
-
-    def search(idx: int, remaining: int, pole: int) -> bool:
-        if remaining == 0:
-            return pole <= budget
-        if idx == len(items):
-            return False
-        val, cost, slot = items[idx]
-        for exp in range(remaining // val, -1, -1):
-            rest = remaining - exp * val
-            spent = pole + exp * cost
-            # any completion costs at least (q^2+1)/q^2 per unit of valuation
-            if spent * q2 + rest * (q2 + 1) > budget * q2:
-                continue
-            if exp:
-                chosen[slot] = exp
-            elif slot in chosen:
-                del chosen[slot]
-            if search(idx + 1, rest, spent):
-                return True
-        chosen.pop(slot, None)
-        return False
-
-    if not search(0, target, 0):
+    if witness_valuation(p, seed) != record.value - 1 or witness_pole_cost(p, seed) > budget:
         raise NoWitness(f"no witness for value {record.value} within pole budget {budget}")
-    return _vector_from_slots(p, chosen)
+    return seed

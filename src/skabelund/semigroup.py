@@ -9,8 +9,10 @@ where each generator g contributes edges r -> (r + g) mod m of weight g.
 It is computed by the round-robin sweep of Boecker & Liptak ("A fast and
 simple algorithm for the money changing problem", Algorithmica 48, 2007):
 one generator at a time, one vectorised pass per residue cycle, in
-O(k * m) with no heap.  Membership, gaps, genus, conductor and Frobenius
-number then follow by direct arithmetic:
+O(k * m) with no heap.  The same pass, applied to the Apery elements in
+increasing order, picks out the minimal generators and decides whether an
+Apery array describes a set closed under addition.  Membership, gaps,
+genus, conductor and Frobenius number follow by direct arithmetic:
 
     n in S          iff  n >= apery[n mod m]
     genus           =    sum(a // m for a in apery)
@@ -28,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInput, NonCoprime, Overflow
+from .errors import EmptyInput, NonCoprime, NotClosed, Overflow
 
 U64_MAX = 2**64 - 1
 
@@ -122,58 +124,75 @@ def normalize_generators(raw: Iterable[int]) -> GeneratorSet:
 
 
 def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
-    """Compute the Apery set of <gens> by the Boecker-Liptak round-robin sweep.
-
-    Start from the Apery set of <m> alone, m = min(gens): 0 at residue 0 and
-    an "unreached" sentinel elsewhere.  Each further generator a splits Z/mZ
-    into d = gcd(a, m) cycles r -> r + a of length L = m / d.  Along a cycle
-    with entries v_0 .. v_{L-1}, the shortest paths that may also use a are
-
-        w_k = k*a + min(min_{j <= k} (v_j - j*a), min_j (v_j - j*a) + L*a),
-
-    where the second term enters the cycle by wrapping past its end once;
-    wrapping twice never helps.  That is one ``np.minimum.accumulate`` per
-    cycle, all cycles at once.  After the last generator, w is the Apery
-    set.  Runs in O(k * m) for k generators, with no heap.
+    """Compute the Apery set of <gens> by the Boecker-Liptak round robin:
+    start from <m>, m = min(gens), and add the other generators one at a
+    time with :func:`_add_generator`.  Runs in O(k * m) for k generators,
+    with no heap.
 
     Every Apery element is a sum of at most m - 1 generators, so the
-    sentinel (m - 1) * max(gens) + 1 lies above them all, and every value
-    the sweep forms stays within m * max(gens) of it.  The sweep runs in
-    int64 when that fits, else on Python ints, and raises :class:`Overflow`
-    when an Apery element exceeds 64 bits unsigned.
+    "unreached" sentinel (m - 1) * max(gens) + 1 lies above them all.
+    Raises :class:`Overflow` when an Apery element exceeds 64 bits
+    unsigned.
     """
     gens = gen_set.gens
     m = gens[0]
     if m == 1:
         return SemigroupProfile(1, (0,), 0, 0, -1)
-    unreached = (m - 1) * gens[-1] + 1
-    fits = unreached + m * gens[-1] <= np.iinfo(np.int64).max
-    dtype = np.int64 if fits else object
-    dist = np.full(m, unreached, dtype=dtype)
-    dist[0] = 0
+    dist = _multiples_of(m, (m - 1) * gens[-1] + 1, gens[-1])
     for a in gens[1:]:
-        step = a % m
-        if step == 0:  # self-loops in the residue graph never improve a distance
-            continue
-        d = math.gcd(step, m)
-        length = m // d
-        # cycles[p, t] = (p + t*a) mod m, one row per cycle; the offsets
-        # are multiples of d below m, so p + offset needs no reduction.
-        offsets = np.arange(length, dtype=np.int64) * step % m
-        cycles = np.arange(d, dtype=np.int64)[:, None] + offsets
-        walked = np.arange(length, dtype=dtype) * a
-        vals = dist[cycles] - walked
-        wrapped = vals.min(axis=1) + length * a
-        np.minimum(vals[:, 0], wrapped, out=vals[:, 0])
-        np.minimum.accumulate(vals, axis=1, out=vals)
-        vals += walked
-        dist[cycles] = vals
+        _add_generator(dist, a)
     # gcd(gens) == 1 guarantees every residue class is reached.
     apery = dist.tolist()
     top = max(apery)
     if top > U64_MAX:
         raise Overflow(f"Apery element exceeds 64 bits at residue {top % m}")
     return SemigroupProfile.from_apery(apery)
+
+
+def _multiples_of(m: int, unreached: int, top: int) -> np.ndarray:
+    """The Apery array of <m> alone: 0 at residue 0, ``unreached`` elsewhere.
+
+    Adding generators up to ``top`` keeps every value the sweep forms
+    within m * top of ``unreached``, so the array is int64 when that fits
+    and holds Python ints otherwise.
+    """
+    fits = unreached + m * top <= np.iinfo(np.int64).max
+    dist = np.full(m, unreached, dtype=np.int64 if fits else object)
+    dist[0] = 0
+    return dist
+
+
+def _add_generator(dist: np.ndarray, a: int) -> None:
+    """One round-robin pass: lower the Apery array ``dist`` in place to
+    that of the semigroup it describes with the generator a added.
+
+    a splits Z/mZ into d = gcd(a, m) cycles r -> r + a of length L = m / d.
+    Along a cycle with entries v_0 .. v_{L-1}, the shortest paths that may
+    also use a are
+
+        w_k = k*a + min(min_{j <= k} (v_j - j*a), min_j (v_j - j*a) + L*a),
+
+    where the second term enters the cycle by wrapping past its end once;
+    wrapping twice never helps.  That is one ``np.minimum.accumulate`` per
+    cycle, all cycles at once.
+    """
+    m = len(dist)
+    step = a % m
+    if step == 0:  # self-loops in the residue graph never improve a distance
+        return
+    d = math.gcd(step, m)
+    length = m // d
+    # cycles[p, t] = (p + t*a) mod m, one row per cycle; the offsets are
+    # multiples of d below m, so p + offset needs no reduction.
+    offsets = np.arange(length, dtype=np.int64) * step % m
+    cycles = np.arange(d, dtype=np.int64)[:, None] + offsets
+    walked = np.arange(length, dtype=dist.dtype) * a
+    vals = dist[cycles] - walked
+    wrapped = vals.min(axis=1) + length * a
+    np.minimum(vals[:, 0], wrapped, out=vals[:, 0])
+    np.minimum.accumulate(vals, axis=1, out=vals)
+    vals += walked
+    dist[cycles] = vals
 
 
 def contains(p: SemigroupProfile, n: int) -> bool:
@@ -229,21 +248,29 @@ def verify_cofinite_complement(gs: GapSet) -> bool:
 
 
 def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
-    """Minimal generating set: nonzero elements that are not a sum of two
-    nonzero elements.
+    """Minimal generating set, by one round-robin sweep over the Apery set.
 
-    Candidates all lie below conductor + multiplicity.  Decomposability is
-    read off a sumset convolution of the membership indicator (FFT; counts
-    are small integers, so a 0.5 threshold is exact for these sizes).
+    Start from <m> and walk the nonzero Apery elements in increasing order.
+    An element w that the generators so far do not reach (w below their
+    Apery element in its residue) is minimal: it is kept and added with
+    :func:`_add_generator`.  Every other w is a sum of smaller generators.
+
+    The kept elements lie in the set the Apery array describes, and they
+    reach every Apery element, so the sweep ends on ``p.apery`` exactly
+    when that set is closed under addition.  Otherwise it raises
+    :class:`NotClosed`, naming the first residue that differs.
     """
-    win = max(p.conductor + 2 * p.multiplicity, 2)
-    n = np.arange(win, dtype=np.int64)
-    apery = np.asarray(p.apery, dtype=np.int64)
-    member = n >= apery[n % p.multiplicity]
-    positive = member.copy()
-    positive[0] = False
-    nfft = 1 << (2 * win - 1).bit_length()
-    spectrum = np.fft.rfft(positive.astype(np.float64), nfft)
-    counts = np.fft.irfft(spectrum * spectrum, nfft)[:win]
-    decomposable = counts > 0.5
-    return tuple(int(v) for v in n[positive & ~decomposable])
+    m = p.multiplicity
+    top = max(p.apery)
+    dist = _multiples_of(m, top + 1, top)
+    gens = [m]
+    for w in sorted(p.apery)[1:]:
+        if w < dist[w % m]:
+            gens.append(w)
+            _add_generator(dist, w)
+    reached = dist.tolist()
+    if reached != list(p.apery):
+        r = next(r for r, (x, y) in enumerate(zip(reached, p.apery)) if x != y)
+        raise NotClosed(f"generators reach {reached[r]} at residue {r}, where the "
+                        f"Apery set has {p.apery[r]}: not closed under addition")
+    return tuple(gens)

@@ -133,7 +133,7 @@ def test_verify_passes(capsys):
 
 
 def test_verify_sampled_at_size_three(capsys):
-    code, out, _ = run(capsys, "verify", "--s", "3..3", "--sampled")
+    code, out, _ = run(capsys, "verify", "--s", "3..3")
     assert code == 0
     assert "generic_closure_sampled" in out
     assert "all_passed = True" in out
@@ -166,6 +166,27 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, "table1", "--max-s", "1")
     assert code == 3
     assert "DuplicateGap" in err
+
+
+def test_memory_error_exits_three(capsys, monkeypatch):
+    import skabelund.cli as cli
+
+    def boom(p):
+        raise MemoryError("bool array of 2g entries")
+
+    monkeypatch.setattr(cli.families, "enumerate_values", boom)
+    code, _, err = run(capsys, "table1", "--max-s", "1")
+    assert code == 3
+    assert err == "internal error: MemoryError: bool array of 2g entries\n"
+
+
+def test_unwritable_out_path_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "params", "--s", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_verify_bad_ranges(capsys):

@@ -8,6 +8,7 @@ from skabelund import (
     UnsupportedS,
     contains,
     make_params,
+    minimal_generators,
     phi,
     phi1,
     phi2,
@@ -145,6 +146,14 @@ def test_apery_sets_match_engine():
         p = make_params(s)
         assert rational_apery(p) == frozenset(profile_from_generators(rational_generators(p)).apery)
         assert quartic_apery(p) == frozenset(profile_from_generators(quartic_generators(p)).apery)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_paper_generator_lists_are_minimal(s):
+    p = make_params(s)
+    for gens in (rational_generators(p), quartic_generators(p)):
+        assert minimal_generators(profile_from_generators(gens)) == gens.gens
+    assert len(quartic_generators(p).gens) == 3 * p.q0 + 3
 
 
 def test_pole_order_table_identities():

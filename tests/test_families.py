@@ -199,16 +199,6 @@ def test_generic_semigroup_size_one(p1):
     assert len(gaps.gaps) == 196
 
 
-def test_generic_semigroup_modes(p1):
-    full = generic_semigroup(p1, closure="full")
-    sampled = generic_semigroup(p1, closure="sampled")
-    assert full == sampled
-    with pytest.raises(ValueError):
-        generic_semigroup(p1, closure="bogus")
-    with pytest.raises(UnsupportedS):
-        generic_semigroup(make_params(4))
-
-
 def test_generic_profile_gaps_round_trip(p1, p2):
     # families -> bitset -> Apery profile -> gaps reproduces the input exactly
     for p in (p1, p2):
@@ -229,11 +219,12 @@ def test_enumerate_family_sorted_partition(p1, records_s1):
     assert sorted(seen) == [r.value for r in records]
 
 
-def test_generic_minimal_generators_regenerate(p1, p2):
+def test_generic_minimal_generators_regenerate(p1, p2, p3):
     # the reported minimal generators must reproduce the same semigroup
-    for p in (p1, p2):
+    for p, count in ((p1, 19), (p2, 88), (p3, 368)):
         prof = generic_semigroup(p)
         mingens = minimal_generators(prof)
+        assert len(mingens) == count
         again = profile_from_generators(normalize_generators(mingens))
         assert again == prof
 
@@ -254,3 +245,23 @@ def test_closure_violation_detected(p1, monkeypatch):
     monkeypatch.setattr(fam, "enumerate_values", corrupted)
     with pytest.raises(NotClosed):
         fam.generic_semigroup(p1)
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_hole_in_complement_detected(s, request, monkeypatch):
+    import skabelund.families as fam
+
+    p = request.getfixturevalue(f"p{s}")
+    m = fam.generic_semigroup(p).multiplicity
+    real = fam.enumerate_values
+
+    def with_hole(p, *a, **k):
+        # 2m joins the gaps: the Apery set and its genus are unchanged, but
+        # the complement no longer holds m + m
+        gap_set, counts = real(p)
+        gaps = tuple(sorted(gap_set.gaps + (2 * m,)))
+        return type(gap_set)(gaps, gap_set.bound), counts
+
+    monkeypatch.setattr(fam, "enumerate_values", with_hole)
+    with pytest.raises(NotClosed):
+        fam.generic_semigroup(p)

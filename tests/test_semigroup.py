@@ -7,7 +7,9 @@ from skabelund import (
     GapSet,
     GeneratorSet,
     NonCoprime,
+    NotClosed,
     Overflow,
+    SemigroupProfile,
     SemigroupStats,
     contains,
     gaps_of,
@@ -166,6 +168,12 @@ def test_minimal_generators_small():
     assert minimal_generators(profile_of(4, 6, 9)) == (4, 6, 9)
     # redundant generator disappears
     assert minimal_generators(profile_of(3, 5, 8)) == (3, 5)
+
+
+def test_minimal_generators_reject_unclosed_apery_set():
+    # residues 1, 3 hold 5 and 7, but 5 + 5 = 10 < 14 sits in residue 2
+    with pytest.raises(NotClosed, match="residue 2"):
+        minimal_generators(SemigroupProfile.from_apery((0, 5, 14, 7)))
 
 
 def test_minimal_generators_regenerate():

@@ -68,19 +68,6 @@ def test_f6_product_seed(p1):
         assert w.c == 1 and w.e[rec.params.n] == 1
 
 
-def test_search_fallback_without_seeds(p2, monkeypatch):
-    # force the depth-first search by feeding it a valuation-zero seed
-    import skabelund.families as fam
-
-    empty = fam.WitnessVector(0, 0, 0, 0, 0, (0,) * (2 * p2.q0 - 2), 0, 0, (0,) * (p2.q0 - 1))
-    monkeypatch.setattr(fam, "_family_seed", lambda p, r: empty)
-    sample = (enumerate_family(p2, FamilyId.F4)[:8]
-              + enumerate_family(p2, FamilyId.F6)[:8]
-              + enumerate_family(p2, FamilyId.F2)[:8])
-    for rec in sample:
-        checked(p2, rec)
-
-
 def test_no_witness_beyond_weierstrass_bound(p1):
     fake = GapRecord(2 * p1.genus, FamilyId.F1, _params(p1, 0, 0, 0, 0, 0))
     with pytest.raises(NoWitness):
