@@ -43,6 +43,7 @@ from .families import (
     FamilyId,
     FamilyParams,
     GapRecord,
+    GenericSemigroup,
     WitnessVector,
     binom_sum_check,
     count_family,
@@ -83,7 +84,7 @@ __all__ = [
     "NonCoprime", "NonIntegerResult", "NotClosed", "OutOfDomain", "Overflow",
     "SkabelundError", "SumMismatch", "TableMismatch",
     "UnsupportedCombination", "UnsupportedS",
-    "FamilyId", "FamilyParams", "GapRecord", "WitnessVector",
+    "FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup", "WitnessVector",
     "binom_sum_check", "count_family", "enumerate_all", "enumerate_family",
     "enumerate_values", "family_count_closed_form", "family_value",
     "gap_witness", "generic_semigroup", "iter_family_records",

@@ -229,19 +229,15 @@ def _expand_exponents(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     return values, cols
 
 
-def _records(p: CurveParams, fid: FamilyId, values: np.ndarray,
-             cols: np.ndarray) -> Iterator[GapRecord]:
+def iter_family_records(p: CurveParams, fid: FamilyId) -> Iterator[GapRecord]:
+    """Yield the records of one family in loop order."""
     q0, q = p.q0, p.q
+    values, cols = _expand_exponents(_family_rows(p, fid))
     a1, a2, a3, a4, f = cols[:5]
     sigma = a1 + a2 + a3 + a4 + f
     nu = a1 + a2 * q0 + a3 * 2 * q0 + a4 * q + f * q * q
     for v, exps, sg, nv in zip(values.tolist(), cols.T.tolist(), sigma.tolist(), nu.tolist()):
         yield GapRecord(v, fid, FamilyParams(*exps, sg, nv))
-
-
-def iter_family_records(p: CurveParams, fid: FamilyId) -> Iterator[GapRecord]:
-    """Yield the records of one family in loop order."""
-    yield from _records(p, fid, *_expand_exponents(_family_rows(p, fid)))
 
 
 def enumerate_family(p: CurveParams, fid: FamilyId) -> list[GapRecord]:
@@ -253,50 +249,48 @@ def enumerate_family(p: CurveParams, fid: FamilyId) -> list[GapRecord]:
 
 def iter_family_values(p: CurveParams, fid: FamilyId) -> Iterator[int]:
     """Yield the values of one family in loop order, without records."""
-    yield from _expand(_family_rows(p, fid))[0].tolist()
+    yield from _family_values(p, fid).tolist()
 
 
-def _mark_gaps(chunks: list[np.ndarray], limit: int) -> np.ndarray:
-    """Mark every value of ``chunks`` in a bool array over [0, limit).
+def _family_values(p: CurveParams, fid: FamilyId) -> np.ndarray:
+    return _expand(_family_rows(p, fid))[0]
 
-    Raises RuntimeError on a value outside [1, limit), and DuplicateGap
-    naming the first value, in chunk order, that is already marked.  The
-    values are disjoint iff the marks number as many as the values, so
-    the repeat is looked for only when the two counts differ.
-    """
+
+def gap_mask(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
+    """Mark the six families, one at a time, in a bool array over [0, 2g),
+    and count each.  Raises RuntimeError on a value outside [1, 2g), and
+    DuplicateGap naming the first value, in enumeration order, produced
+    twice; the families are disjoint iff the marks number as many as their
+    values, so only then are they expanded again, all together, to find it."""
+    limit = 2 * p.genus
     marked = np.zeros(limit, dtype=bool)
-    for values in chunks:
+    counts = {}
+    for fid in FamilyId:
+        values = _family_values(p, fid)
         outside = (values < 1) | (values >= limit)
         if outside.any():
             raise RuntimeError(f"gap value {values[outside][0]} outside [1, {limit})")
         marked[values] = True
-    if np.count_nonzero(marked) != sum(len(values) for values in chunks):
-        every = np.concatenate(chunks)
+        counts[fid] = len(values)
+    if np.count_nonzero(marked) != sum(counts.values()):
+        every = np.concatenate([_family_values(p, fid) for fid in FamilyId])
         repeat = np.ones(len(every), dtype=bool)
         repeat[np.unique(every, return_index=True)[1]] = False
         raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")
-    return marked
+    return marked, counts
 
 
 def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
-    """Mark all six families in one bitset without building records.
-
-    Returns the combined gap set (bound 2g) and the per-family counts.
-    Raises DuplicateGap on any collision, within or across families.
-    """
-    chunks = [_expand(_family_rows(p, fid))[0] for fid in FamilyId]
-    counts = {fid: len(values) for fid, values in zip(FamilyId, chunks)}
-    marked = _mark_gaps(chunks, 2 * p.genus)
+    """The gap set (bound 2g) that :func:`gap_mask` marks, and its counts."""
+    marked, counts = gap_mask(p)
     return GapSet(tuple(np.flatnonzero(marked).tolist()), 2 * p.genus), counts
 
 
 def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
     """Union of the six families with full records, sorted by value."""
-    expanded = [_expand_exponents(_family_rows(p, fid)) for fid in FamilyId]
-    _mark_gaps([values for values, _ in expanded], 2 * p.genus)
-    records = [rec for fid, (values, cols) in zip(FamilyId, expanded)
-               for rec in _records(p, fid, values, cols)]
-    records.sort(key=lambda r: r.value)
+    gap_mask(p)  # RuntimeError or DuplicateGap on a bad family value
+    records = sorted((r for fid in FamilyId for r in iter_family_records(p, fid)),
+                     key=lambda r: r.value)
     return GapSet(tuple(r.value for r in records), 2 * p.genus), records
 
 
@@ -345,40 +339,43 @@ def binom_sum_check(n: int) -> bool:
     return sum(comb(sig + 4, 4) for sig in range(n + 1)) == comb(n + 5, 5)
 
 
-def generic_semigroup(p: CurveParams) -> SemigroupProfile:
-    """The semigroup at a generic point: complement of the six families.
+@dataclass(frozen=True, slots=True)
+class GenericSemigroup:
+    """The generic-point semigroup, its per-family gap counts and minimal generators."""
 
-    Builds the complement C over [0, 2g), extracts its Apery set, and
-    certifies exactly that C is a semigroup.  C lies inside the set the
-    Apery array describes, so the two are equal iff they have as many
-    gaps; that set is closed iff the minimal-generator sweep ends on the
-    same Apery array.  Either failure raises NotClosed.
+    profile: SemigroupProfile
+    counts: dict[FamilyId, int]
+    generators: tuple[int, ...]
+
+
+def generic_semigroup(p: CurveParams) -> GenericSemigroup:
+    """The semigroup at a generic point: complement C of the six families.
+
+    Reads the Apery set of C off the mask of :func:`gap_mask` and certifies
+    exactly that C is a semigroup.  C lies inside the set the Apery array
+    describes, so the two are equal iff they have as many gaps; that set is
+    closed iff the minimal-generator sweep ends on the same Apery array.
+    Either failure raises NotClosed.
     """
     if p.s > 3:
         raise UnsupportedS("generic-point enumeration is supported for s <= 3")
-    gap_set, _ = enumerate_values(p)
-    two_g = 2 * p.genus
-
-    member = np.ones(two_g, dtype=bool)
-    member[np.asarray(gap_set.gaps, dtype=np.int64)] = False
-    m = int(np.argmax(member[1:])) + 1
-    # Pad with ones to a multiple of m past 2g + m, so that every residue
+    gaps, counts = gap_mask(p)
+    m = int(np.argmin(gaps[1:])) + 1
+    # Pad with members to a multiple of m past 2g + m, so that every residue
     # has a member; the first member in each column is its Apery element.
-    rows = -(-(two_g + m) // m)
-    padded = np.ones(rows * m, dtype=bool)
-    padded[:two_g] = member
-    apery = padded.reshape(rows, m).argmax(axis=0) * m + np.arange(m)
+    rows = -(-(len(gaps) + m) // m)
+    padded = np.zeros(rows * m, dtype=bool)
+    padded[:len(gaps)] = gaps
+    apery = padded.reshape(rows, m).argmin(axis=0) * m + np.arange(m)
     profile = SemigroupProfile.from_apery(apery.tolist())
 
     if profile.genus != p.genus:
-        raise RuntimeError(
-            f"complement profile has genus {profile.genus}, expected {p.genus}"
-        )
-    if len(gap_set.gaps) != profile.genus:
-        raise NotClosed(f"complement has {len(gap_set.gaps)} gaps, its Apery set "
+        raise RuntimeError(f"complement profile has genus {profile.genus}, expected {p.genus}")
+    n_gaps = int(np.count_nonzero(gaps))
+    if n_gaps != profile.genus:
+        raise NotClosed(f"complement has {n_gaps} gaps, its Apery set "
                         f"{profile.genus}: a gap lies above a member of its residue")
-    minimal_generators(profile)
-    return profile
+    return GenericSemigroup(profile, counts, minimal_generators(profile))
 
 
 # ---------------------------------------------------------------------------

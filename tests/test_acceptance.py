@@ -115,11 +115,11 @@ def test_c06_generic_complement_closure():
     for s in (1, 2):
         p = make_params(s)
         gap_set, _ = enumerate_values(p)
-        prof = generic_semigroup(p)
+        prof = generic_semigroup(p).profile
         window = GapSet(gap_set.gaps, 2 * prof.conductor)
         _report(f"c06 full pairwise closure s={s}", verify_cofinite_complement(window))
     p = make_params(3)
-    prof = generic_semigroup(p)  # exact closure, raises NotClosed on violation
+    prof = generic_semigroup(p).profile  # exact closure, raises NotClosed on violation
     rng = random.Random(123)
     violations = 0
     for _ in range(100_000):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from skabelund import GeneratorSet
 from skabelund.cli import cmd_params, cmd_semigroup, cmd_verify, main
 
@@ -162,7 +164,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def boom(p):
         raise DuplicateGap("value 7 produced twice")
 
-    monkeypatch.setattr(cli.families, "enumerate_values", boom)
+    monkeypatch.setattr(cli.families, "gap_mask", boom)
     code, _, err = run(capsys, "table1", "--max-s", "1")
     assert code == 3
     assert "DuplicateGap" in err
@@ -174,7 +176,7 @@ def test_memory_error_exits_three(capsys, monkeypatch):
     def boom(p):
         raise MemoryError("bool array of 2g entries")
 
-    monkeypatch.setattr(cli.families, "enumerate_values", boom)
+    monkeypatch.setattr(cli.families, "gap_mask", boom)
     code, _, err = run(capsys, "table1", "--max-s", "1")
     assert code == 3
     assert err == "internal error: MemoryError: bool array of 2g entries\n"
@@ -254,3 +256,64 @@ def test_generic_apery_emit(capsys):
     assert len(apery) == 60  # generic multiplicity at s = 1
     assert apery == sorted(apery)
     assert apery[0] == 0
+
+
+def test_bad_witness_seed_fails_verify(capsys, monkeypatch):
+    # a seed that misses its gap is counted as invalid, not raised
+    import dataclasses
+
+    import skabelund.families as fam
+    from skabelund import FamilyId, enumerate_family, make_params
+
+    target = enumerate_family(make_params(2), FamilyId.F4)[0]
+    real = fam._family_seed
+
+    def corrupted(p, record):
+        seed = real(p, record)
+        return dataclasses.replace(seed, a1=seed.a1 + 1) if record == target else seed
+
+    monkeypatch.setattr(fam, "_family_seed", corrupted)
+    code, out, _ = run(capsys, "verify", "--s", "2..2")
+    assert code == 1
+    assert "[FAIL] s=2 witnesses: observed=1 invalid expected=0 invalid\n" in out
+    assert out.endswith("all_passed = False\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--s", "1..1"),
+    ("semigroup", "--s", "1", "--point", "generic", "--emit", "generators"),
+])
+def test_one_generic_build_per_request(argv, capsys, monkeypatch):
+    # the families are marked once and the Apery set swept once per s
+    import skabelund.families as fam
+    import skabelund.semigroup as sg
+
+    calls = []
+    real_mask, real_sweep = fam.gap_mask, sg.minimal_generators
+
+    def mask(p):
+        calls.append("mark")
+        return real_mask(p)
+
+    def sweep(profile):
+        calls.append("sweep")
+        return real_sweep(profile)
+
+    monkeypatch.setattr(fam, "gap_mask", mask)
+    for module in (fam, sg):
+        monkeypatch.setattr(module, "minimal_generators", sweep)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == ["mark", "sweep"]
+
+
+def test_json_render_matches_json_dumps():
+    # series are joined block by block; the bytes must stay those of json.dumps
+    from skabelund.cli import render
+
+    payloads = [cmd_semigroup(1, point, emit)[0] for point in ("rational", "quartic", "generic")
+                for emit in ("generators", "apery", "gaps", "stats")]
+    payloads += [{"s": 9, "gaps": list(range(1, 200_000, 3))}, {"s": 9, "gaps": [7]},
+                 {"s": 9, "gaps": []}, cmd_verify(1, 1)[0]]
+    for payload in payloads:
+        assert render("semigroup", payload, "json") == json.dumps(payload, indent=2) + "\n"

@@ -24,7 +24,7 @@ from skabelund import (
     normalize_generators,
     profile_from_generators,
 )
-from skabelund.families import _mark_gaps
+import skabelund.families as fam
 
 TABLE1_COUNTS = {
     1: (146, 31, 8, 0, 9, 2),
@@ -130,15 +130,26 @@ def test_enumerate_values_matches_enumerate_all(s, request):
     assert counts == {fid: sum(r.family is fid for r in records) for fid in FamilyId}
 
 
-def test_gap_bitset_guards(p1):
+def test_gap_bitset_guards(p1, monkeypatch):
     limit = 2 * p1.genus
-    assert np.flatnonzero(_mark_gaps([np.array([5]), np.array([7])], limit)).tolist() == [5, 7]
+
+    def families_hold(table):
+        monkeypatch.setattr(fam, "_family_values",
+                            lambda p, fid: np.array(table.get(fid, []), dtype=np.int64))
+
+    families_hold({FamilyId.F1: [5], FamilyId.F2: [7]})
+    marked, counts = fam.gap_mask(p1)
+    assert np.flatnonzero(marked).tolist() == [5, 7]
+    assert counts == {fid: int(fid in (FamilyId.F1, FamilyId.F2)) for fid in FamilyId}
+    families_hold({FamilyId.F1: [5, 6], FamilyId.F2: [7, 5]})
     with pytest.raises(DuplicateGap, match="^value 5 produced twice$"):
-        _mark_gaps([np.array([5, 6]), np.array([7, 5])], limit)
+        fam.gap_mask(p1)
+    families_hold({FamilyId.F3: [0]})
     with pytest.raises(RuntimeError):
-        _mark_gaps([np.array([0])], limit)
+        fam.gap_mask(p1)
+    families_hold({FamilyId.F6: [limit]})
     with pytest.raises(RuntimeError):
-        _mark_gaps([np.array([limit])], limit)
+        fam.gap_mask(p1)
     with pytest.raises(UnsupportedS):
         generic_semigroup(make_params(4))
 
@@ -147,8 +158,6 @@ def test_duplicated_row_names_first_repeat(p2, monkeypatch):
     # one F2 progression row listed twice in a row: the first repeated
     # value, in enumeration order, is where the copy starts
     import dataclasses
-
-    import skabelund.families as fam
 
     real = fam._family_rows
     row = 5
@@ -187,7 +196,7 @@ def test_binom_polynomial_expansion():
 
 
 def test_generic_semigroup_size_one(p1):
-    prof = generic_semigroup(p1)
+    prof = generic_semigroup(p1).profile
     assert prof.genus == 196
     assert prof.multiplicity == 60
     assert prof.conductor == 386
@@ -203,7 +212,7 @@ def test_generic_profile_gaps_round_trip(p1, p2):
     # families -> bitset -> Apery profile -> gaps reproduces the input exactly
     for p in (p1, p2):
         gap_set, _ = enumerate_values(p)
-        prof = generic_semigroup(p)
+        prof = generic_semigroup(p).profile
         assert gaps_of(prof).gaps == gap_set.gaps
         assert gaps_of(prof).bound == prof.conductor
 
@@ -222,46 +231,43 @@ def test_enumerate_family_sorted_partition(p1, records_s1):
 def test_generic_minimal_generators_regenerate(p1, p2, p3):
     # the reported minimal generators must reproduce the same semigroup
     for p, count in ((p1, 19), (p2, 88), (p3, 368)):
-        prof = generic_semigroup(p)
-        mingens = minimal_generators(prof)
-        assert len(mingens) == count
-        again = profile_from_generators(normalize_generators(mingens))
-        assert again == prof
+        generic = generic_semigroup(p)
+        assert generic.generators == minimal_generators(generic.profile)
+        assert len(generic.generators) == count
+        assert generic.counts == enumerate_values(p)[1]
+        again = profile_from_generators(normalize_generators(generic.generators))
+        assert again == generic.profile
 
 
 def test_closure_violation_detected(p1, monkeypatch):
-    import skabelund.families as fam
+    real = fam.gap_mask
 
-    real = fam.enumerate_values
-
-    def corrupted(p, *a, **k):
-        gap_set, counts = real(p)
+    def corrupted(p):
+        marked, counts = real(p)
         # swap gap 108 for the indecomposable member 62: the per-residue
         # least-member structure still adds up to the genus, but the
         # complement elements 60 and 108 now sum to the gap 168
-        gaps = tuple(sorted(set(gap_set.gaps) - {108} | {62}))
-        return type(gap_set)(gaps, gap_set.bound), counts
+        marked[108], marked[62] = False, True
+        return marked, counts
 
-    monkeypatch.setattr(fam, "enumerate_values", corrupted)
+    monkeypatch.setattr(fam, "gap_mask", corrupted)
     with pytest.raises(NotClosed):
         fam.generic_semigroup(p1)
 
 
 @pytest.mark.parametrize("s", [1, 3])
 def test_hole_in_complement_detected(s, request, monkeypatch):
-    import skabelund.families as fam
-
     p = request.getfixturevalue(f"p{s}")
-    m = fam.generic_semigroup(p).multiplicity
-    real = fam.enumerate_values
+    m = fam.generic_semigroup(p).profile.multiplicity
+    real = fam.gap_mask
 
-    def with_hole(p, *a, **k):
+    def with_hole(p):
         # 2m joins the gaps: the Apery set and its genus are unchanged, but
         # the complement no longer holds m + m
-        gap_set, counts = real(p)
-        gaps = tuple(sorted(gap_set.gaps + (2 * m,)))
-        return type(gap_set)(gaps, gap_set.bound), counts
+        marked, counts = real(p)
+        marked[2 * m] = True
+        return marked, counts
 
-    monkeypatch.setattr(fam, "enumerate_values", with_hole)
+    monkeypatch.setattr(fam, "gap_mask", with_hole)
     with pytest.raises(NotClosed):
         fam.generic_semigroup(p)
