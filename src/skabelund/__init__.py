@@ -51,7 +51,6 @@ from .families import (
     enumerate_family,
     enumerate_values,
     family_count_closed_form,
-    family_value,
     gap_witness,
     generic_semigroup,
     iter_family_records,
@@ -86,7 +85,7 @@ __all__ = [
     "UnsupportedCombination", "UnsupportedS",
     "FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup", "WitnessVector",
     "binom_sum_check", "count_family", "enumerate_all", "enumerate_family",
-    "enumerate_values", "family_count_closed_form", "family_value",
+    "enumerate_values", "family_count_closed_form",
     "gap_witness", "generic_semigroup", "iter_family_records",
     "iter_family_values",
     "witness_pole_cost", "witness_valuation",

@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
+
+import numpy as np
 
 from . import curve, families, semigroup
 from .errors import (
-    NoWitness,
     SkabelundError,
     TableMismatch,
     UnsupportedCombination,
@@ -31,6 +33,7 @@ TABLE1 = {
 
 _POINTS = ("rational", "quartic", "generic")
 _EMITS = ("generators", "apery", "gaps", "stats")
+_BLOCK = 65536  # series items rendered per join
 
 # Largest s per (emit, point class); payloads above these are either too
 # large to serialise or too slow to build on purpose.
@@ -57,20 +60,6 @@ def _stats_payload(stats: semigroup.SemigroupStats) -> dict:
     }
 
 
-def _witness_payload(w: families.WitnessVector) -> dict:
-    return {
-        "a1": w.a1, "a2": w.a2, "a3": w.a3, "a4": w.a4, "f": w.f,
-        "b": list(w.b), "c": w.c, "d": w.d, "e": list(w.e),
-    }
-
-
-def _params_payload(fp: families.FamilyParams) -> dict:
-    return {
-        "a1": fp.a1, "a2": fp.a2, "a3": fp.a3, "a4": fp.a4, "f": fp.f,
-        "n": fp.n, "c": fp.c, "d": fp.d, "sigma": fp.sigma, "nu": fp.nu,
-    }
-
-
 def cmd_params(s: int) -> tuple[dict, int]:
     p = curve.make_params(s)
     return {"s": p.s, "q0": p.q0, "q": p.q, "genus": p.genus}, 0
@@ -91,16 +80,10 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     if point == "generic":
         if emit == "gaps":
             if witnesses:
-                _, records = families.enumerate_all(p)
-                payload["gaps"] = [
-                    {
-                        "value": r.value,
-                        "family": r.family.name,
-                        "params": _params_payload(r.params),
-                        "witness": _witness_payload(families.gap_witness(p, r)),
-                    }
-                    for r in records
-                ]
+                families.gap_mask(p)  # RuntimeError or DuplicateGap on a bad family value
+                table = families.witness_table(p)
+                table.require_valid()
+                payload["gaps"] = table  # rendered record by record, see _witness_blocks
             else:
                 gaps, _ = families.gap_mask(p)
                 payload["gaps"] = gaps.nonzero()[0].tolist()
@@ -185,11 +168,10 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
                              curve.quartic_apery(p) == frozenset(quartic.apery),
                              "closed-form set", "shortest-path set"))
 
-        top = (p.q - 1) ** 2
-        anti_ok = all(curve.phi(p, i) + curve.phi(p, top - i) == p.q - 1
-                      for i in range(top + 1))
+        idx = np.arange((p.q - 1) ** 2 + 1)
+        anti_ok = bool((curve.phi_values(p, idx) + curve.phi_values(p, idx[::-1]) == p.q - 1).all())
         checks.append(_check("phi_antisymmetry", s, anti_ok, "all indices", "q - 1"))
-        phi_sum = sum(curve.phi(p, i) for i in range(curve.quartic_multiplicity(p)))
+        phi_sum = int(curve.phi_values(p, np.arange(curve.quartic_multiplicity(p))).sum())
         checks.append(_check("phi_sum_genus", s, phi_sum == p.genus, phi_sum, p.genus))
 
         generic = families.generic_semigroup(p)
@@ -209,13 +191,7 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
                              generic.profile.genus, p.genus))
 
         if s <= 2:
-            bad = 0
-            for fid in families.FamilyId:
-                for rec in families.iter_family_records(p, fid):
-                    try:
-                        families.gap_witness(p, rec)
-                    except NoWitness:
-                        bad += 1
+            bad = int((~families.witness_table(p).valid).sum())
             checks.append(_check("witnesses", s, bad == 0, f"{bad} invalid", "0 invalid"))
 
     hard_failures = [c for c in checks if not c["passed"] and not c["informational"]]
@@ -233,13 +209,39 @@ def render(kind: str, payload: dict, fmt: str) -> str:
     if fmt != "json":
         return _render_text(kind, payload)
     key, series = list(payload.items())[-1]
-    if not (isinstance(series, list) and series and type(series[0]) is int):
+    if isinstance(series, families.WitnessTable):
+        blocks = _witness_blocks(series, "json")
+    elif isinstance(series, list) and series and type(series[0]) is int:
+        blocks = (",\n    ".join(map(str, series[i:i + _BLOCK])) for i in range(0, len(series), _BLOCK))
+    else:
         return json.dumps(payload, indent=2) + "\n"
     # The bytes of json.dumps(payload, indent=2), without one string per item
     # alive at once (90 MB for the s = 3 gaps): the series joins in blocks.
-    blocks = (",\n    ".join(map(str, series[i:i + 65536])) for i in range(0, len(series), 65536))
     head = json.dumps({**payload, key: []}, indent=2)[:-4]  # drops the series' "[]\n}"
     return "".join((head, "[\n    ", ",\n    ".join(blocks), "\n  ]\n}\n"))
+
+
+def _witness_blocks(table: families.WitnessTable, fmt: str) -> Iterator[str]:
+    """The records of a witness table in blocks of _BLOCK, each record one
+    %-template over its columns: the bytes json.dumps(indent=2) gives the
+    old record dicts inside the payload (``fmt`` "json"), or the text line."""
+    nb, ne = 2 * table.p.q0 - 2, table.p.q0 - 1
+    if fmt == "json":
+        d = "%d"
+        record = {"value": d, "family": "F%d",
+                  "params": dict.fromkeys(("a1", "a2", "a3", "a4", "f", "n", "c", "d", "sigma", "nu"), d),
+                  "witness": {"a1": d, "a2": d, "a3": d, "a4": d, "f": d,
+                              "b": [d] * nb, "c": d, "d": d, "e": [d] * ne}}
+        template = json.dumps(record, indent=2).replace('"%d"', d).replace("\n", "\n    ")
+        rows, sep = slice(None), ",\n    "
+    else:
+        b, e = ", ".join(["%d"] * nb), ", ".join(["%d"] * ne)
+        template = f"gap %d family=F%d witness a=(%d,%d,%d,%d) b=[{b}] c=%d d=%d e=[{e}] f=%d"
+        # WitnessTable rows: value, family, seed a1..a4 (12..15), b, c, d, e (17..), f (16)
+        rows, sep = [0, 1, 12, 13, 14, 15, *range(17, 19 + nb + ne), 16], "\n"
+    for i in range(0, table.columns.shape[1], _BLOCK):
+        block = table.columns[rows, i:i + _BLOCK].T.tolist()
+        yield sep.join([template % tuple(r) for r in block])
 
 
 def _render_csv(kind: str, payload: dict) -> str:
@@ -263,7 +265,7 @@ def _render_csv(kind: str, payload: dict) -> str:
                               ("multiplicity", "genus", "conductor", "frobenius", "symmetric")))
     else:
         series = payload.get("generators") or payload.get("apery") or payload.get("gaps") or []
-        if series and isinstance(series[0], dict):
+        if isinstance(series, families.WitnessTable):
             raise UnsupportedCombination("--witnesses payloads have no CSV form")
         lines.append("value")
         lines.extend(str(v) for v in series)
@@ -300,12 +302,8 @@ def _render_text(kind: str, payload: dict) -> str:
         else:
             series = payload.get("apery") if "apery" in payload else payload.get("gaps")
             key = "apery" if "apery" in payload else "gaps"
-            if series and isinstance(series[0], dict):
-                for item in series:
-                    w = item["witness"]
-                    lines.append(f"{key[:-1]} {item['value']} family={item['family']} "
-                                 f"witness a=({w['a1']},{w['a2']},{w['a3']},{w['a4']}) "
-                                 f"b={w['b']} c={w['c']} d={w['d']} e={w['e']} f={w['f']}")
+            if isinstance(series, families.WitnessTable):
+                lines.extend(_witness_blocks(series, "text"))
             else:
                 lines.append(f"{key} ({len(series)} values):")
                 lines.extend(str(v) for v in series)

@@ -14,7 +14,11 @@ and tuples that would force f < 0 are skipped.
 Every gap value v admits a witness: an exponent vector for a monomial in
 the building-block functions (see :func:`skabelund.curve.pole_order_table`)
 whose vanishing order at the point is v - 1 and whose total pole order at
-infinity stays within 2g - 2.  Witnesses certify the value is a gap.
+infinity stays within 2g - 2.  Witnesses certify the value is a gap.  Each
+family reads its witness seed off its parameters by one rule
+(:func:`_seeds`), applied to whole columns: :func:`witness_table` holds
+every gap with its parameters and seed as int64 columns in value order, and
+checks all of them with one matrix product against the building blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .curve import CurveParams, PoleOrderTable, pole_order_table
+from .curve import CurveParams, pole_order_table
 from .errors import (
     DuplicateGap,
     NonIntegerResult,
@@ -73,10 +77,6 @@ class FamilyParams:
         if self.sigma != self.a1 + self.a2 + self.a3 + self.a4 + self.f:
             raise ValueError(f"stored sigma {self.sigma} disagrees with components")
 
-    def nu_matches(self, p: CurveParams) -> bool:
-        q0, q = p.q0, p.q
-        return self.nu == self.a1 + self.a2 * q0 + self.a3 * 2 * q0 + self.a4 * q + self.f * q * q
-
 
 @dataclass(frozen=True, slots=True)
 class GapRecord:
@@ -85,31 +85,6 @@ class GapRecord:
     value: int
     family: FamilyId
     params: FamilyParams
-
-
-def _params(p: CurveParams, a1: int, a2: int, a3: int, a4: int, f: int,
-            n: int = 0, c: int = 0, d: int = 0) -> FamilyParams:
-    q0, q = p.q0, p.q
-    nu = a1 + a2 * q0 + a3 * 2 * q0 + a4 * q + f * q * q
-    return FamilyParams(a1, a2, a3, a4, f, n, c, d, a1 + a2 + a3 + a4 + f, nu)
-
-
-def family_value(p: CurveParams, fid: FamilyId, fp: FamilyParams) -> int:
-    """Evaluate the displayed expression of a family at given parameters."""
-    q0, q = p.q0, p.q
-    nu = fp.nu
-    n = fp.n
-    if fid is FamilyId.F1:
-        return nu + 1
-    if fid is FamilyId.F2:
-        return nu + (n + 1) * q0 * q + 1
-    if fid is FamilyId.F3:
-        return nu + (2 * n + 1) * q0 * q + n + 2
-    if fid is FamilyId.F4:
-        return nu + (2 * n + 2) * q0 * q + n + 3
-    if fid is FamilyId.F5:
-        return nu + fp.c * q0 * (q + 1) + fp.d * (2 * q * q0 + 2 * q0 + 1) + 1
-    return nu + q0 + (2 * n + 2) * q0 * q + n + 2
 
 
 # ---------------------------------------------------------------------------
@@ -219,32 +194,30 @@ def _expand(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     return values, k
 
 
-def _expand_exponents(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
-    """Values as :func:`_expand`, with their exponent columns (``_COLUMNS``
-    order, one column per value)."""
+def _family_params(p: CurveParams, fid: FamilyId) -> tuple[np.ndarray, np.ndarray]:
+    """The values of one family in loop order, and their FamilyParams fields
+    (a1, a2, a3, a4, f, n, c, d, sigma, nu) as ten rows of columns."""
+    rows = _family_rows(p, fid)
     values, k = _expand(rows)
     cols = np.repeat(rows.start, rows.length, axis=1)
     cols[3] += k * rows.da4
     cols[4] += k * rows.df
-    return values, cols
+    a1, a2, a3, a4, f = cols[:5]
+    sigma = a1 + a2 + a3 + a4 + f
+    nu = a1 + a2 * p.q0 + a3 * 2 * p.q0 + a4 * p.q + f * p.q * p.q
+    return values, np.vstack((cols, sigma, nu))
 
 
 def iter_family_records(p: CurveParams, fid: FamilyId) -> Iterator[GapRecord]:
     """Yield the records of one family in loop order."""
-    q0, q = p.q0, p.q
-    values, cols = _expand_exponents(_family_rows(p, fid))
-    a1, a2, a3, a4, f = cols[:5]
-    sigma = a1 + a2 + a3 + a4 + f
-    nu = a1 + a2 * q0 + a3 * 2 * q0 + a4 * q + f * q * q
-    for v, exps, sg, nv in zip(values.tolist(), cols.T.tolist(), sigma.tolist(), nu.tolist()):
-        yield GapRecord(v, fid, FamilyParams(*exps, sg, nv))
+    values, params = _family_params(p, fid)
+    for v, fields in zip(values.tolist(), params.T.tolist()):
+        yield GapRecord(v, fid, FamilyParams(*fields))
 
 
 def enumerate_family(p: CurveParams, fid: FamilyId) -> list[GapRecord]:
     """All records of one family, sorted by value."""
-    records = list(iter_family_records(p, fid))
-    records.sort(key=lambda r: r.value)
-    return records
+    return sorted(iter_family_records(p, fid), key=lambda r: r.value)
 
 
 def iter_family_values(p: CurveParams, fid: FamilyId) -> Iterator[int]:
@@ -287,11 +260,14 @@ def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
 
 
 def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
-    """Union of the six families with full records, sorted by value."""
+    """Union of the six families with full records, sorted by value (the
+    order of :func:`witness_table`)."""
     gap_mask(p)  # RuntimeError or DuplicateGap on a bad family value
-    records = sorted((r for fid in FamilyId for r in iter_family_records(p, fid)),
-                     key=lambda r: r.value)
-    return GapSet(tuple(r.value for r in records), 2 * p.genus), records
+    cols = witness_table(p).columns
+    fids = list(FamilyId)
+    records = [GapRecord(v, fids[k - 1], FamilyParams(*fields))
+               for v, k, fields in zip(cols[0].tolist(), cols[1].tolist(), cols[2:12].T.tolist())]
+    return GapSet(tuple(cols[0].tolist()), 2 * p.genus), records
 
 
 def count_family(p: CurveParams, fid: FamilyId) -> int:
@@ -401,30 +377,30 @@ class WitnessVector:
     e: tuple[int, ...]
 
 
-def _axis(table: PoleOrderTable, w: WitnessVector, which: int) -> int:
-    total = 0
-    for exp, entry in (
-        (w.a1, table.x), (w.a2, table.y), (w.a3, table.z), (w.a4, table.w),
-        (w.c, table.f1), (w.d, table.f2), (w.f, table.pi),
-    ):
-        total += exp * entry[which]
-    total += sum(exp * entry[which] for exp, entry in zip(w.b, table.h))
-    total += sum(exp * entry[which] for exp, entry in zip(w.e, table.g))
-    return total
+def _vector(w: WitnessVector) -> list[int]:
+    return [w.a1, w.a2, w.a3, w.a4, w.f, *w.b, w.c, w.d, *w.e]
+
+
+def _axes(p: CurveParams) -> np.ndarray:
+    """Vanishing order (row 0) and pole order (row 1) of each building block,
+    in seed order: x, y, z, w, pi, h_1.., f1, f2, g_0.."""
+    t = pole_order_table(p)
+    return np.array([t.x, t.y, t.z, t.w, t.pi, *t.h, t.f1, t.f2, *t.g], dtype=np.int64).T
 
 
 def witness_valuation(p: CurveParams, w: WitnessVector) -> int:
     """Vanishing order at the point of the witness monomial."""
-    return _axis(pole_order_table(p), w, 0)
+    return int(_axes(p)[0] @ _vector(w))
 
 
 def witness_pole_cost(p: CurveParams, w: WitnessVector) -> int:
     """Pole order at infinity of the witness monomial (upper bound)."""
-    return _axis(pole_order_table(p), w, 1)
+    return int(_axes(p)[1] @ _vector(w))
 
 
-def _family_seed(p: CurveParams, record: GapRecord) -> WitnessVector:
-    """Read a witness straight off the family parameters.
+def _seeds(p: CurveParams, fid: FamilyId, params: np.ndarray) -> np.ndarray:
+    """Read a witness straight off each column of family parameters (rows in
+    ``_COLUMNS`` order), as exponent rows in WitnessVector order.
 
     The F1/F2/F3/F5 offsets each match one building block (nothing, h_n,
     g_n, f1^c * f2^d).  The remaining two offsets are products: for F4,
@@ -432,23 +408,70 @@ def _family_seed(p: CurveParams, record: GapRecord) -> WitnessVector:
     (2n+2)q0q + q0 + n + 1.  In every case the pole weight comes to q - 2
     at most, so the pole bound holds automatically.
     """
-    fp = record.params
-    b = [0] * (2 * p.q0 - 2)
-    e = [0] * (p.q0 - 1)
-    c = d = 0
-    if record.family is FamilyId.F2:
-        b[fp.n - 1] = 1
-    elif record.family is FamilyId.F3:
-        e[fp.n] = 1
-    elif record.family is FamilyId.F4:
-        e[0] += 1
-        e[fp.n] += 1
-    elif record.family is FamilyId.F5:
-        c, d = fp.c, fp.d
-    elif record.family is FamilyId.F6:
-        c = 1
-        e[fp.n] += 1
-    return WitnessVector(fp.a1, fp.a2, fp.a3, fp.a4, fp.f, tuple(b), c, d, tuple(e))
+    b = 5  # rows: a1, a2, a3, a4, f, b[0..2q0-3], c, d, e[0..q0-2]
+    c = b + 2 * p.q0 - 2
+    e = c + 2
+    seed = np.zeros((e + p.q0 - 1, params.shape[1]), dtype=np.int64)
+    seed[:5] = params[:5]
+    n, each = params[5], np.arange(params.shape[1])
+    if fid is FamilyId.F2:
+        seed[b + n - 1, each] = 1
+    elif fid is FamilyId.F3:
+        seed[e + n, each] = 1
+    elif fid is FamilyId.F4:
+        seed[e] += 1
+        seed[e + n, each] += 1
+    elif fid is FamilyId.F5:
+        seed[c:e] = params[6:8]
+    elif fid is FamilyId.F6:
+        seed[c] = 1
+        seed[e + n, each] += 1
+    return seed
+
+
+def _is_witness(p: CurveParams, value: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Per column: valuation value - 1 and pole cost within 2g - 2."""
+    valuation, pole = _axes(p) @ seed
+    return (valuation == value - 1) & (pole <= p.two_g_minus_2)
+
+
+def _no_witness(p: CurveParams, value: int) -> NoWitness:
+    return NoWitness(f"no witness for value {value} within pole budget {p.two_g_minus_2}")
+
+
+@dataclass(frozen=True)
+class WitnessTable:
+    """Every generic gap with its family, parameters and witness seed.
+
+    ``columns`` holds one int64 column per gap, in ascending value order.
+    Row 0 is the value, row 1 the family number (1..6), rows 2..11 the
+    FamilyParams fields and rows 12.. the seed in WitnessVector order
+    (a1, a2, a3, a4, f, b, c, d, e).  ``valid`` marks the gaps whose seed
+    is a witness.
+    """
+
+    p: CurveParams
+    columns: np.ndarray
+    valid: np.ndarray
+
+    def require_valid(self) -> None:
+        """Raise NoWitness for the smallest gap whose seed is no witness."""
+        if not self.valid.all():
+            raise _no_witness(self.p, int(self.columns[0, np.argmin(self.valid)]))
+
+
+def witness_table(p: CurveParams) -> WitnessTable:
+    """Expand the progression rows of every family, seed each gap and sort
+    the gaps by value.  Each gap's valuation and pole cost come from one
+    matrix product with the building-block table, checked gap by gap."""
+    blocks = []
+    for fid in FamilyId:
+        values, params = _family_params(p, fid)
+        family = np.full_like(values, fid.value)
+        blocks.append(np.vstack((values, family, params, _seeds(p, fid, params))))
+    columns = np.concatenate(blocks, axis=1)
+    columns = columns[:, np.argsort(columns[0])]
+    return WitnessTable(p, columns, _is_witness(p, columns[0], columns[12:]))
 
 
 def gap_witness(p: CurveParams, record: GapRecord) -> WitnessVector:
@@ -458,8 +481,10 @@ def gap_witness(p: CurveParams, record: GapRecord) -> WitnessVector:
     The seeds certify every gap at s = 1, 2 and 3.  A seed that fails
     raises NoWitness, which would contradict the gap property.
     """
-    budget = p.two_g_minus_2
-    seed = _family_seed(p, record)
-    if witness_valuation(p, seed) != record.value - 1 or witness_pole_cost(p, seed) > budget:
-        raise NoWitness(f"no witness for value {record.value} within pole budget {budget}")
-    return seed
+    params = np.array([[getattr(record.params, k)] for k in _COLUMNS], dtype=np.int64)
+    seed = _seeds(p, record.family, params)
+    if not _is_witness(p, np.array([record.value]), seed)[0]:
+        raise _no_witness(p, record.value)
+    exps = seed[:, 0].tolist()
+    c = 2 * p.q0 + 3
+    return WitnessVector(*exps[:5], tuple(exps[5:c]), exps[c], exps[c + 1], tuple(exps[c + 2:]))

@@ -4,12 +4,17 @@ The dynamic-programming sieve recomputes semigroup membership from first
 principles (n is a member iff n == 0 or n - g is a member for some
 generator g), with no shortest-path machinery involved, so it can sit on
 the other side of every equality the Apery engine is asserted against.
+The family value and the per-record witness seed restate, one record at a
+time in plain Python, the paper's displayed family expressions and the seed
+rule that ``skabelund.families`` applies to whole columns.
 """
 
 from __future__ import annotations
 
 import math
 import random
+
+from skabelund import FamilyId, GapRecord, WitnessVector
 
 
 def sieve_members(gens: list[int], limit: int) -> bytearray:
@@ -46,3 +51,54 @@ def random_generator_list(rng: random.Random) -> list[int]:
         vals = sorted(set([head] + tail))
         if math.gcd(*vals) == 1:
             return vals
+
+
+def family_seed(p, record: GapRecord) -> WitnessVector:
+    """Read a witness straight off the family parameters of one record.
+
+    The F1/F2/F3/F5 offsets each match one building block (nothing, h_n,
+    g_n, f1^c * f2^d).  The remaining two offsets are products: for F4,
+    g_0 * g_n supplies (2n+2)q0q + n + 2, and for F6, f1 * g_n supplies
+    (2n+2)q0q + q0 + n + 1.
+    """
+    fp = record.params
+    b = [0] * (2 * p.q0 - 2)
+    e = [0] * (p.q0 - 1)
+    c = d = 0
+    if record.family is FamilyId.F2:
+        b[fp.n - 1] = 1
+    elif record.family is FamilyId.F3:
+        e[fp.n] = 1
+    elif record.family is FamilyId.F4:
+        e[0] += 1
+        e[fp.n] += 1
+    elif record.family is FamilyId.F5:
+        c, d = fp.c, fp.d
+    elif record.family is FamilyId.F6:
+        c = 1
+        e[fp.n] += 1
+    return WitnessVector(fp.a1, fp.a2, fp.a3, fp.a4, fp.f, tuple(b), c, d, tuple(e))
+
+
+def nu_of(p, fp) -> int:
+    """nu = a1 + a2*q0 + a3*2*q0 + a4*q + f*q^2 of one parameter tuple."""
+    q0, q = p.q0, p.q
+    return fp.a1 + fp.a2 * q0 + fp.a3 * 2 * q0 + fp.a4 * q + fp.f * q * q
+
+
+def family_value(p, fid: FamilyId, fp) -> int:
+    """Evaluate the displayed expression of a family at given parameters."""
+    q0, q = p.q0, p.q
+    nu = fp.nu
+    n = fp.n
+    if fid is FamilyId.F1:
+        return nu + 1
+    if fid is FamilyId.F2:
+        return nu + (n + 1) * q0 * q + 1
+    if fid is FamilyId.F3:
+        return nu + (2 * n + 1) * q0 * q + n + 2
+    if fid is FamilyId.F4:
+        return nu + (2 * n + 2) * q0 * q + n + 3
+    if fid is FamilyId.F5:
+        return nu + fp.c * q0 * (q + 1) + fp.d * (2 * q * q0 + 2 * q0 + 1) + 1
+    return nu + q0 + (2 * n + 2) * q0 * q + n + 2

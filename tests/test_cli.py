@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -258,25 +259,87 @@ def test_generic_apery_emit(capsys):
     assert apery[0] == 0
 
 
-def test_bad_witness_seed_fails_verify(capsys, monkeypatch):
-    # a seed that misses its gap is counted as invalid, not raised
-    import dataclasses
-
+def _corrupt_first_f4_seed(monkeypatch) -> int:
+    """Add 1 to a1 in the columnar seed of the smallest F4 gap at s = 2;
+    return that gap's value."""
     import skabelund.families as fam
     from skabelund import FamilyId, enumerate_family, make_params
 
     target = enumerate_family(make_params(2), FamilyId.F4)[0]
-    real = fam._family_seed
+    wanted = [[getattr(target.params, k)] for k in fam._COLUMNS]
+    real = fam._seeds
 
-    def corrupted(p, record):
-        seed = real(p, record)
-        return dataclasses.replace(seed, a1=seed.a1 + 1) if record == target else seed
+    def corrupted(p, fid, params):
+        seed = real(p, fid, params)
+        if p.s == 2 and fid is FamilyId.F4:
+            seed[0, (params[:8] == wanted).all(axis=0)] += 1
+        return seed
 
-    monkeypatch.setattr(fam, "_family_seed", corrupted)
+    monkeypatch.setattr(fam, "_seeds", corrupted)
+    return target.value
+
+
+def test_bad_witness_seed_fails_verify(capsys, monkeypatch):
+    # a seed that misses its gap is counted as invalid, not raised
+    _corrupt_first_f4_seed(monkeypatch)
     code, out, _ = run(capsys, "verify", "--s", "2..2")
     assert code == 1
     assert "[FAIL] s=2 witnesses: observed=1 invalid expected=0 invalid\n" in out
     assert out.endswith("all_passed = False\n")
+
+
+def test_bad_witness_seed_fails_dump(capsys, monkeypatch):
+    # the dump raises NoWitness for the corrupted gap and writes nothing
+    value = _corrupt_first_f4_seed(monkeypatch)
+    code, out, err = run(capsys, "semigroup", "--s", "2", "--point", "generic",
+                         "--emit", "gaps", "--witnesses", "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == f"internal error: NoWitness: no witness for value {value} within pole budget 30750\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _dict_witness_dump(s: int, fmt: str) -> str:
+    """The --witnesses dump rendered from one dict per gap, built from
+    enumerate_all and gap_witness."""
+    from dataclasses import asdict
+
+    from skabelund import enumerate_all, gap_witness, make_params
+
+    p = make_params(s)
+    head = {"s": p.s, "q0": p.q0, "q": p.q, "genus": p.genus, "point": "generic", "emit": "gaps"}
+    items = []
+    for r in enumerate_all(p)[1]:
+        w = gap_witness(p, r)
+        items.append({"value": r.value, "family": r.family.name, "params": asdict(r.params),
+                      "witness": {**asdict(w), "b": list(w.b), "e": list(w.e)}})
+    if fmt == "json":
+        return json.dumps({**head, "gaps": items}, indent=2) + "\n"
+    lines = [f"{k} = {v}" for k, v in head.items()]
+    for it in items:
+        w = it["witness"]
+        lines.append(f"gap {it['value']} family={it['family']} "
+                     f"witness a=({w['a1']},{w['a2']},{w['a3']},{w['a4']}) "
+                     f"b={w['b']} c={w['c']} d={w['d']} e={w['e']} f={w['f']}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("s, fmt, block", [(1, "json", 65536), (1, "text", 65536),
+                                           (2, "json", 65536), (2, "text", 65536),
+                                           (2, "json", 1000), (2, "text", 1000)])
+def test_witness_dump_matches_dict_render(s, fmt, block, capsys, monkeypatch, tmp_path):
+    # the columnar render is byte-identical to rendering the record dicts,
+    # across block boundaries too, and --out writes the same bytes
+    import skabelund.cli as cli
+
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    argv = ["semigroup", "--s", str(s), "--point", "generic", "--emit", "gaps",
+            "--witnesses", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == _dict_witness_dump(s, fmt)
+    target = tmp_path / "dump.txt"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == out
 
 
 @pytest.mark.parametrize("argv", [

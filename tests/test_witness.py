@@ -1,7 +1,12 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
+from oracles import family_seed
 from skabelund import (
     FamilyId,
+    FamilyParams,
     GapRecord,
     NoWitness,
     enumerate_family,
@@ -10,7 +15,7 @@ from skabelund import (
     witness_pole_cost,
     witness_valuation,
 )
-from skabelund.families import _params
+from skabelund.families import _vector, witness_table
 
 
 def checked(p, record):
@@ -69,6 +74,39 @@ def test_f6_product_seed(p1):
 
 
 def test_no_witness_beyond_weierstrass_bound(p1):
-    fake = GapRecord(2 * p1.genus, FamilyId.F1, _params(p1, 0, 0, 0, 0, 0))
+    fake = GapRecord(2 * p1.genus, FamilyId.F1, FamilyParams(0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(NoWitness):
         gap_witness(p1, fake)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_seeds_match_oracle(s, request):
+    # the columnar seed rule, read per record and per table column, equals
+    # the per-record oracle on every gap
+    p = request.getfixturevalue(f"p{s}")
+    _, records = request.getfixturevalue(f"records_s{s}")
+    table = witness_table(p)
+    assert table.valid.all()
+    assert table.columns[0].tolist() == [r.value for r in records]
+    assert table.columns[1].tolist() == [r.family.value for r in records]
+    expected = [_vector(family_seed(p, r)) for r in records]
+    assert table.columns[12:].T.tolist() == expected
+    assert [_vector(gap_witness(p, r)) for r in records] == expected
+
+
+def test_pole_bound_is_inclusive(p2, records_s2):
+    # a budget equal to the largest seed pole cost passes every gap; one less
+    # fails exactly the gaps at that cost, in the table and in gap_witness
+    _, records = records_s2
+    poles = [witness_pole_cost(p2, gap_witness(p2, r)) for r in records]
+    top = max(poles)
+    assert witness_table(dataclasses.replace(p2, two_g_minus_2=top)).valid.all()
+    tight = dataclasses.replace(p2, two_g_minus_2=top - 1)
+    table = witness_table(tight)
+    failing = [i for i, cost in enumerate(poles) if cost == top]
+    assert np.flatnonzero(~table.valid).tolist() == failing
+    first = records[failing[0]].value
+    with pytest.raises(NoWitness, match=f"^no witness for value {first} within pole budget {top - 1}$"):
+        table.require_valid()
+    with pytest.raises(NoWitness):
+        gap_witness(tight, records[failing[0]])
