@@ -10,7 +10,9 @@ special classes in closed form:
 * quartic points (defined over F_{q^4} but not F_q): 3*q0 + 3 generators,
   and an Apery set {phi(i) * g0 + i} driven by the piecewise map phi.
 
-Generic points are handled in :mod:`skabelund.families`.
+Each Apery set is written once, as a stream of int64 blocks that feeds the
+set, :func:`phi_values` and the summary statistics.  Generic points are
+handled in :mod:`skabelund.families`.
 """
 
 from __future__ import annotations
@@ -79,25 +81,8 @@ def rational_generators(p: CurveParams) -> GeneratorSet:
 
 def rational_apery(p: CurveParams) -> frozenset[int]:
     """Apery set at a rational point: all sums h*g1 + i*g2 + j*g3 + k*g4
-    over the box 0<=h<=1, 0<=i<=q0-1, 0<=j<=q-2q0, 0<=k<=q0-1.
-
-    The box has exactly g0 = multiplicity cells and the sums are pairwise
-    distinct modulo g0; a collision would mean a transcription bug.
-    """
-    q0, q = p.q0, p.q
-    g0, g1, g2, g3, g4 = rational_generators(p).gens
-    vals = (np.array([0, g1], dtype=np.int64)[:, None, None, None]
-            + np.arange(q0, dtype=np.int64)[:, None, None] * g2
-            + np.arange(q - 2 * q0 + 1, dtype=np.int64)[:, None] * g3
-            + np.arange(q0, dtype=np.int64) * g4).ravel()
-    residues = vals % g0
-    if np.bincount(residues, minlength=g0).max() > 1:
-        # Name the first repeat in box order (h, i, j, k).
-        first = np.zeros(vals.size, dtype=bool)
-        first[np.unique(residues, return_index=True)[1]] = True
-        at = int(np.argmin(first))
-        raise DuplicateResidue(f"residue {residues[at]} hit twice at value {vals[at]}")
-    return frozenset(vals.tolist())
+    over the box 0<=h<=1, 0<=i<=q0-1, 0<=j<=q-2q0, 0<=k<=q0-1."""
+    return frozenset(_by_residue(p, rational_generators(p).gens[0], _rational_blocks(p)).tolist())
 
 
 def quartic_generators(p: CurveParams) -> GeneratorSet:
@@ -161,18 +146,8 @@ def phi(p: CurveParams, i: int) -> int:
 
 
 def quartic_apery(p: CurveParams) -> frozenset[int]:
-    """Apery set at a quartic point: {phi(i)*g0 + i | 0 <= i < g0}.
-
-    The offsets phi(i) must add up to the genus; anything else signals a
-    transcription bug.
-    """
-    g0 = quartic_multiplicity(p)
-    idx = np.arange(g0, dtype=np.int64)
-    offs = phi_values(p, idx)
-    total = int(offs.sum())
-    if total != p.genus:
-        raise SumMismatch(f"sum of offsets is {total}, genus is {p.genus}")
-    return frozenset((offs * g0 + idx).tolist())
+    """Apery set at a quartic point: {phi(i)*g0 + i | 0 <= i < g0}."""
+    return frozenset(_by_residue(p, quartic_multiplicity(p), _quartic_blocks(p)).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -194,112 +169,125 @@ def pole_order_table(p: CurveParams) -> PoleOrderTable:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form statistics in blocks.  At s >= 4 the Apery sets have hundreds
-# of thousands to tens of millions of elements; the summary numbers (genus,
-# conductor, symmetry) are accumulated over fixed-size blocks without
-# materialising them.  The rational box goes in chunks of about _CHUNK sums.
-# The quartic offsets go in blocks of _ROWS rows of the cell tables below,
-# with no division per element.
+# Apery-set streams.  At s >= 4 the sets have up to tens of millions of
+# elements: the stats reduce a stream block by block, and only the sets and
+# phi_values copy it.  A stream reuses one buffer, so a block lives until the next.
 
-_CHUNK = 1 << 20
 _ROWS = 64
 
 
-def _cell_tables(p: CurveParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell coefficients of phi, as three (2, q) int64 tables (a, b, c).
+def _rational_blocks(p: CurveParams):
+    """The rational box in (h, i, j, k) order, one (j, k) plane per (h, i)."""
+    q0, q = p.q0, p.q
+    _, g1, g2, g3, g4 = rational_generators(p).gens
+    plane = (np.arange(q - 2 * q0 + 1, dtype=np.int64)[:, None] * g3
+             + np.arange(q0, dtype=np.int64) * g4).ravel()
+    buf = np.empty_like(plane)
+    for h in (0, g1):
+        for i in range(q0):
+            yield np.add(plane, h + i * g2, out=buf)
 
-    Row 0 covers the lower range: i = l*q + cell with cell = k*q0 + j, and
-    phi(i) = c + l + max(a - b*l, 0).  Row 1 covers the upper range through
-    its mirror index g0 - 1 - i = l*q + cell, and phi(i) = c - l - max(a - b*l, 0).
+
+def _quartic_blocks(p: CurveParams):
+    """The quartic Apery elements phi(i)*g0 + i, _ROWS rows at a time.
+
+    The lower range 0 <= i <= q(q-2)/2 is rows l = 0..q/2-1 of
+    i = l*q + cell with cell = k*q0 + j, cut after the split index (cell 0
+    of the last row, where phi = l).  The upper range mirrors onto q/2
+    whole rows of g0 - 1 - i = l*q + cell.  In half h = 0, 1 the element is
+    e + (-1)^h * (g0*max(a - b*l, 0) + (g0 + q)*l), with per-cell (2, q)
+    tables a, b, e read off phi1 and phi2, evaluated in place.
     """
     q0, q = p.q0, p.q
-    cell = np.arange(q, dtype=np.int64)
-    j = cell & (q0 - 1)
-    k = cell >> p.s
+    g0 = quartic_multiplicity(p)
+    cells = np.arange(q, dtype=np.int64)
+    j = cells & (q0 - 1)
+    k = cells >> p.s
     a = np.tile(q - q0 * ((k + 1) // 2 + j + 1), (2, 1))
     b = np.full((2, q), q0, dtype=np.int64)
-    c = np.repeat(np.array([[1], [q - 1]], dtype=np.int64), q, axis=1)
+    e = np.stack([g0 + cells, q * g0 - 1 - cells])  # c*g0 + i at l = 0; c = 1, q - 1
     lower_edge = (j == 0) & (k != 0)
     a[0, lower_edge] = q - q0 * (k[lower_edge] + 2)
     b[0, lower_edge] = 2 * q0
-    a[0, 0] = b[0, 0] = c[0, 0] = 0  # j = k = 0: phi = l
+    a[0, 0] = b[0, 0] = e[0, 0] = 0  # j = k = 0: phi = l
     upper_edge = j == q0 - 1
     a[1, upper_edge] = q - q0 * (k[upper_edge] + 1)
     b[1, upper_edge] = 2 * q0
-    return a, b, c
-
-
-def phi_values(p: CurveParams, idx: np.ndarray) -> np.ndarray:
-    """Vectorised ``phi`` over an int64 index array inside [0, g0)."""
-    g0 = quartic_multiplicity(p)
-    upper = idx > p.q * (p.q - 2) // 2
-    mirrored = np.where(upper, g0 - 1 - idx, idx)
-    l = mirrored >> (2 * p.s + 1)  # q = 2^(2s+1)
-    cell = mirrored & (p.q - 1)
-    a, b, c = _cell_tables(p)
-    half = upper.astype(np.intp)
-    bump = np.maximum(a[half, cell] - b[half, cell] * l, 0) + l
-    return c[half, cell] + np.where(upper, -bump, bump)
-
-
-def rational_apery_stats(p: CurveParams) -> SemigroupStats:
-    """Summary statistics of the rational-point semigroup, computed from its
-    closed-form Apery set in fixed-size chunks (usable up to s = 6)."""
-    q0, q = p.q0, p.q
-    g0, g1, g2, g3, g4 = rational_generators(p).gens
-    h = np.array([0, g1], dtype=np.int64)
-    i = np.arange(q0, dtype=np.int64) * g2
-    k = np.arange(q0, dtype=np.int64) * g4
-    hik = (h[:, None, None] + i[None, :, None] + k[None, None, :]).ravel()
-    jmax = q - 2 * q0
-    genus = 0
-    step = max(1, _CHUNK // hik.size)
-    for j0 in range(0, jmax + 1, step):
-        js = np.arange(j0, min(j0 + step, jmax + 1), dtype=np.int64) * g3
-        vals = hik[:, None] + js[None, :]
-        genus += int((vals // g0).sum())
-    max_elt = g1 + (q0 - 1) * g2 + jmax * g3 + (q0 - 1) * g4
-    conductor = 1 + max_elt - g0
-    return SemigroupStats(g0, genus, conductor, conductor - 1, conductor == 2 * genus)
-
-
-def quartic_apery_stats(p: CurveParams) -> SemigroupStats:
-    """Summary statistics of the quartic-point semigroup from every phi(i).
-
-    The lower range [0, q(q-2)/2] is q/2 - 1 whole rows of the cell tables
-    plus the single index q(q-2)/2 (cell 0 of the next row); the upper range
-    mirrors onto q/2 whole rows.  Each block of rows is evaluated in one
-    reused buffer with in-place arithmetic, summed, and turned into Apery
-    elements phi(i)*g0 + i for the maximum.
-    """
-    q = p.q
-    g0 = quartic_multiplicity(p)
-    split = q * (q - 2) // 2
-    a, b, c = _cell_tables(p)
-    cells = np.arange(q, dtype=np.int64)
     buf = np.empty((_ROWS, q), dtype=np.int64)
-    last = phi(p, split)
-    genus = last
-    max_elt = last * g0 + split
-    for half, rows in ((0, q // 2 - 1), (1, q // 2)):
-        signed_cells = -cells if half else cells
-        for l0 in range(0, rows, _ROWS):
-            l = np.arange(l0, min(l0 + _ROWS, rows), dtype=np.int64)[:, None]
+    for half, sign, count in ((0, 1, q * (q - 2) // 2 + 1), (1, -1, q * q // 2)):
+        for l0 in range(0, q // 2, _ROWS):
+            l = np.arange(l0, min(l0 + _ROWS, q // 2), dtype=np.int64)[:, None]
             blk = buf[: l.shape[0]]
             np.multiply(b[half], -l, out=blk)
             blk += a[half]
             np.maximum(blk, 0, out=blk)
-            blk += l
-            if half:
-                np.negative(blk, out=blk)
-            blk += c[half]
-            genus += int(blk.sum())
-            # Apery element phi*g0 + i, with i = l*q + cell or g0 - 1 - (l*q + cell).
-            blk *= g0
-            blk += signed_cells
-            row_base = l * q if not half else g0 - 1 - l * q
-            max_elt = max(max_elt, int((blk.max(axis=1) + row_base[:, 0]).max()))
+            blk *= sign * g0
+            blk += sign * (g0 + q) * l
+            blk += e[half]
+            yield blk.ravel()[: count - l0 * q]
+
+
+def _by_residue(p: CurveParams, m: int, blocks) -> np.ndarray:
+    """Copy a stream of Apery elements into one array indexed by residue mod m.
+
+    A repeated residue is named at its first repeat in stream order, and
+    the stream must pass the checks of ``_stats``; either failure means a
+    transcription bug.
+    """
+    vals = np.concatenate([blk.flatten() for blk in blocks])
+    residues = vals % m
+    if np.bincount(residues, minlength=m).max() > 1:
+        first = np.zeros(vals.size, dtype=bool)
+        first[np.unique(residues, return_index=True)[1]] = True
+        at = int(np.argmin(first))
+        raise DuplicateResidue(f"residue {residues[at]} hit twice at value {vals[at]}")
+    _stats(p, m, np.array_split(vals, 64))  # 64 parts keep each int64 sum exact up to s = 6
+    apery = np.empty_like(vals)
+    apery[residues] = vals
+    return apery
+
+
+def _stats(p: CurveParams, m: int, blocks) -> SemigroupStats:
+    """Summary statistics from a stream of the Apery elements a_r at
+    multiplicity m.  Because a_r = r (mod m), they add up to
+    m*genus + m(m-1)/2, so the genus needs no division per element.
+    """
+    count = total = top = 0
+    for blk in blocks:
+        count += blk.size
+        total += int(blk.sum())
+        top = max(top, int(blk.max(initial=0)))
+    if count != m:
+        raise SumMismatch(f"{count} Apery elements for multiplicity {m}")
+    genus, rem = divmod(total - m * (m - 1) // 2, m)
+    if rem:
+        raise SumMismatch(f"Apery elements add up to {total}, not m*genus + m(m-1)/2 for m = {m}")
     if genus != p.genus:
         raise SumMismatch(f"sum of offsets is {genus}, genus is {p.genus}")
-    conductor = 1 + max_elt - g0
-    return SemigroupStats(g0, genus, conductor, conductor - 1, conductor == 2 * genus)
+    conductor = 1 + top - m
+    return SemigroupStats(m, genus, conductor, conductor - 1, conductor == 2 * genus)
+
+
+def phi_values(p: CurveParams, idx: np.ndarray) -> np.ndarray:
+    """Vectorised ``phi`` over an int64 index array inside [0, g0).
+
+    It builds the whole quartic Apery set, all of [0, g0), and reads
+    phi(i) = a_i // g0 off it, so it costs O(g0) whatever the size of idx.
+    """
+    g0 = quartic_multiplicity(p)
+    bad = idx[(idx < 0) | (idx >= g0)]
+    if bad.size:
+        raise OutOfDomain(f"phi index {bad[0]} outside 0..{g0 - 1}")
+    return _by_residue(p, g0, _quartic_blocks(p))[idx] // g0
+
+
+def rational_apery_stats(p: CurveParams) -> SemigroupStats:
+    """Summary statistics of the rational-point semigroup, read off the
+    stream of its closed-form Apery set (usable up to s = 6)."""
+    return _stats(p, rational_generators(p).gens[0], _rational_blocks(p))
+
+
+def quartic_apery_stats(p: CurveParams) -> SemigroupStats:
+    """Summary statistics of the quartic-point semigroup, read off the
+    stream of every phi(i)*g0 + i (usable up to s = 6)."""
+    return _stats(p, quartic_multiplicity(p), _quartic_blocks(p))

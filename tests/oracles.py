@@ -6,13 +6,17 @@ generator g), with no shortest-path machinery involved, so it can sit on
 the other side of every equality the Apery engine is asserted against.
 The family value and the per-record witness seed restate, one record at a
 time in plain Python, the paper's displayed family expressions and the seed
-rule that ``skabelund.families`` applies to whole columns.
+rule that ``skabelund.families`` applies to whole columns.  The phi formula
+restates the paper's piecewise offset map over whole index arrays, with
+none of the per-cell tables that ``skabelund.curve`` streams its Apery sets from.
 """
 
 from __future__ import annotations
 
 import math
 import random
+
+import numpy as np
 
 from skabelund import FamilyId, GapRecord, WitnessVector
 
@@ -102,3 +106,19 @@ def family_value(p, fid: FamilyId, fp) -> int:
     if fid is FamilyId.F5:
         return nu + fp.c * q0 * (q + 1) + fp.d * (2 * q * q0 + 2 * q0 + 1) + 1
     return nu + q0 + (2 * n + 2) * q0 * q + n + 2
+
+
+def phi_formula(p, idx: np.ndarray) -> np.ndarray:
+    """phi1 on 0 <= i <= q(q-2)/2 and phi2 above it, transcribed from the
+    paper through i = l*q + k*q0 + j (phi2 through g0 - 1 - i), for an
+    int64 index array inside [0, g0)."""
+    q0, q = p.q0, p.q
+    g0 = q * q - q + 1
+    upper = idx > q * (q - 2) // 2
+    i = np.where(upper, g0 - 1 - idx, idx)
+    j, k, l = i % q0, (i // q0) % (2 * q0), i // q
+    inner = np.maximum(q - q0 * ((k + 1) // 2 + j + l + 1), 0)
+    phi1 = np.where(k == 0, l, l + 1 + np.maximum(q - q0 * (k + 2 * l + 2), 0))
+    phi1 = np.where(j == 0, phi1, l + 1 + inner)
+    phi2 = q - l - 1 - np.where(j == q0 - 1, np.maximum(q - q0 * (k + 2 * l + 1), 0), inner)
+    return np.where(upper, phi2, phi1)

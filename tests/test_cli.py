@@ -240,7 +240,7 @@ def test_stats_text_listing(capsys):
 
 
 def test_stats_closed_form_path(capsys):
-    # s = 4 stats come from the chunked closed-form data, not the engine
+    # s = 4 stats come from the closed-form Apery stream, not the engine
     code, out, _ = run(capsys, "semigroup", "--s", "4", "--point", "rational",
                        "--emit", "stats", "--format", "json")
     assert code == 0

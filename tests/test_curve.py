@@ -6,6 +6,7 @@ from skabelund import (
     GeneratorSet,
     OutOfDomain,
     SemigroupStats,
+    SumMismatch,
     UnsupportedS,
     contains,
     make_params,
@@ -24,6 +25,8 @@ from skabelund import (
     rational_generators,
 )
 from skabelund.curve import phi_values
+
+from oracles import phi_formula
 
 
 def test_make_params_small():
@@ -121,6 +124,9 @@ def test_phi_domains():
         phi2(p, g0)
     with pytest.raises(OutOfDomain):
         phi(p, g0)
+    for bad in (-1, g0):
+        with pytest.raises(OutOfDomain, match=f"phi index {bad} outside 0..{g0 - 1}"):
+            phi_values(p, np.array([0, bad]))
     assert phi(p, split) == phi1(p, split)
     assert phi(p, split + 1) == phi2(p, split + 1)
 
@@ -189,7 +195,9 @@ def test_phi_vectorised_matches_scalar():
         p = make_params(s)
         g0 = quartic_multiplicity(p)
         idx = np.arange(g0, dtype=np.int64)
-        assert (phi_values(p, idx) == np.array([phi(p, int(i)) for i in range(g0)])).all()
+        scalar = np.array([phi(p, int(i)) for i in range(g0)])
+        assert (phi_values(p, idx) == scalar).all()
+        assert (phi_formula(p, idx) == scalar).all()
 
 
 def test_chunked_stats_match_engine():
@@ -210,7 +218,7 @@ def test_quartic_stats_match_brute_phi(s):
     p = make_params(s)
     g0 = quartic_multiplicity(p)
     idx = np.arange(g0, dtype=np.int64)
-    offs = phi_values(p, idx)
+    offs = phi_formula(p, idx)  # not phi_values, which reads the same stream as the stats
     stats = quartic_apery_stats(p)
     assert stats.genus == int(offs.sum())
     assert stats.conductor == 1 + int((offs * g0 + idx).max()) - g0
@@ -225,6 +233,42 @@ def test_rational_apery_names_first_duplicate(monkeypatch):
                         lambda p: GeneratorSet((40, 50, 60, 63, 80)))
     with pytest.raises(DuplicateResidue, match="residue 0 hit twice at value 80"):
         rational_apery(make_params(1))
+
+
+def _faulty(blocks_of, fault):
+    """The stream of blocks_of with one fault: its last element raised by 1
+    or by the multiplicity m, or its first element (0) dropped."""
+    def blocks(p):
+        vals = np.concatenate([blk.flatten() for blk in blocks_of(p)])
+        if fault == "drop":
+            yield vals[1:]
+        else:
+            vals[-1] += 1 if fault == "plus_one" else vals.size
+            yield vals
+    return blocks
+
+
+_FAULT_MESSAGES = {
+    "plus_one": r"add up to \d+, not m\*genus \+ m\(m-1\)/2",
+    "plus_m": "sum of offsets is 197, genus is 196",
+    "drop": r"(39|56) Apery elements for multiplicity (40|57)",
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULT_MESSAGES))
+@pytest.mark.parametrize("name", ["rational_apery_stats", "quartic_apery_stats",
+                                  "rational_apery", "quartic_apery"])
+def test_faulty_stream_raises(monkeypatch, name, fault):
+    import skabelund.curve as curve
+
+    stream = "_rational_blocks" if name.startswith("rational") else "_quartic_blocks"
+    monkeypatch.setattr(curve, stream, _faulty(getattr(curve, stream), fault))
+    error, message = SumMismatch, _FAULT_MESSAGES[fault]
+    if fault == "plus_one" and not name.endswith("_stats"):
+        # the raised element shares its new residue with another element
+        error, message = DuplicateResidue, "hit twice"
+    with pytest.raises(error, match=message):
+        getattr(curve, name)(make_params(1))
 
 
 def test_chunked_stats_large_sizes():
