@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Iterator
+from dataclasses import asdict, fields
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -33,7 +35,9 @@ TABLE1 = {
 
 _POINTS = ("rational", "quartic", "generic")
 _EMITS = ("generators", "apery", "gaps", "stats")
-_BLOCK = 65536  # series items rendered per join
+_BLOCK = 65536  # series items rendered per piece
+_TABLE1_COLUMNS = ("s", "F1", "F2", "F3", "F4", "F5", "F6", "F", "g")
+_NO_WITNESS_CSV = "--witnesses payloads have no CSV form"
 
 # Largest s per (emit, point class); payloads above these are either too
 # large to serialise or too slow to build on purpose.
@@ -43,21 +47,6 @@ _CAPS = {
     "gaps": {"rational": 3, "quartic": 3, "generic": 3},
     "stats": {"rational": 6, "quartic": 6, "generic": 3},
 }
-
-
-def _special_profile(p, point: str) -> semigroup.SemigroupProfile:
-    gens = curve.rational_generators(p) if point == "rational" else curve.quartic_generators(p)
-    return semigroup.profile_from_generators(gens)
-
-
-def _stats_payload(stats: semigroup.SemigroupStats) -> dict:
-    return {
-        "multiplicity": stats.multiplicity,
-        "genus": stats.genus,
-        "conductor": stats.conductor,
-        "frobenius": stats.frobenius,
-        "symmetric": stats.symmetric,
-    }
 
 
 def cmd_params(s: int) -> tuple[dict, int]:
@@ -79,36 +68,34 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
 
     if point == "generic":
         if emit == "gaps":
+            gaps, _ = families.gap_mask(p)  # RuntimeError or DuplicateGap on a bad family value
             if witnesses:
-                families.gap_mask(p)  # RuntimeError or DuplicateGap on a bad family value
                 table = families.witness_table(p)
                 table.require_valid()
                 payload["gaps"] = table  # rendered record by record, see _witness_blocks
             else:
-                gaps, _ = families.gap_mask(p)
                 payload["gaps"] = gaps.nonzero()[0].tolist()
         else:
             generic = families.generic_semigroup(p)
             if emit == "stats":
-                stats = semigroup.SemigroupStats.from_profile(generic.profile)
-                payload["stats"] = _stats_payload(stats)
+                payload["stats"] = asdict(semigroup.SemigroupStats.from_profile(generic.profile))
             elif emit == "apery":
                 payload["apery"] = sorted(generic.profile.apery)
             else:
                 payload["generators"] = list(generic.generators)
         return payload, 0
 
+    gens = curve.rational_generators(p) if point == "rational" else curve.quartic_generators(p)
     if emit == "generators":
-        gens = curve.rational_generators(p) if point == "rational" else curve.quartic_generators(p)
         payload["generators"] = list(gens.gens)
     elif emit == "apery":
         apery = curve.rational_apery(p) if point == "rational" else curve.quartic_apery(p)
         payload["apery"] = sorted(apery)
     elif emit == "gaps":
-        payload["gaps"] = list(semigroup.gaps_of(_special_profile(p, point)).gaps)
+        payload["gaps"] = list(semigroup.gaps_of(semigroup.profile_from_generators(gens)).gaps)
     else:
         stats_of = curve.rational_apery_stats if point == "rational" else curve.quartic_apery_stats
-        payload["stats"] = _stats_payload(stats_of(p))
+        payload["stats"] = asdict(stats_of(p))
     return payload, 0
 
 
@@ -116,26 +103,21 @@ def cmd_table1(max_s: int) -> tuple[dict, int]:
     if not 1 <= max_s <= 3:
         raise UnsupportedCombination("table rows are available for s in 1..3")
     rows = []
-    mismatches = []
     for s in range(1, max_s + 1):
         p = curve.make_params(s)
         _, counts = families.gap_mask(p)
         row = [counts[fid] for fid in families.FamilyId]
         row += [sum(row), p.genus]
-        entry = {"s": s, "F1": row[0], "F2": row[1], "F3": row[2], "F4": row[3],
-                 "F5": row[4], "F6": row[5], "F": row[6], "g": row[7]}
+        rows.append(dict(zip(_TABLE1_COLUMNS, (s, *row))))
         if s in TABLE1:
-            expected = TABLE1[s]
-            entry["reference_match"] = tuple(row) == expected
-            if not entry["reference_match"]:
-                mismatches.append((s, tuple(row), expected))
-        rows.append(entry)
+            rows[-1]["reference_match"] = tuple(row) == TABLE1[s]
     payload = {"rows": rows}
-    if mismatches:
-        s, got, want = mismatches[0]
-        exc = TableMismatch(f"row s={s}: computed {got}, reference {want}")
-        exc.report = payload  # type: ignore[attr-defined]
-        raise exc
+    for row in rows:
+        if row.get("reference_match") is False:
+            got = tuple(row[k] for k in _TABLE1_COLUMNS[1:])
+            exc = TableMismatch(f"row s={row['s']}: computed {got}, reference {TABLE1[row['s']]}")
+            exc.report = payload  # type: ignore[attr-defined]
+            raise exc
     return payload, 0
 
 
@@ -151,22 +133,18 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
     for s in range(s_lo, s_hi + 1):
         p = curve.make_params(s)
 
-        rational = _special_profile(p, "rational")
-        quartic = _special_profile(p, "quartic")
-        checks.append(_check("rational_genus", s, rational.genus == p.genus,
-                             rational.genus, p.genus))
-        checks.append(_check("quartic_genus", s, quartic.genus == p.genus,
-                             quartic.genus, p.genus))
-        checks.append(_check("rational_symmetric", s, rational.conductor == 2 * p.genus,
-                             rational.conductor, 2 * p.genus))
-        checks.append(_check("quartic_symmetric", s, quartic.conductor == 2 * p.genus,
-                             quartic.conductor, 2 * p.genus))
-        checks.append(_check("rational_apery_agreement", s,
-                             curve.rational_apery(p) == frozenset(rational.apery),
-                             "closed-form set", "shortest-path set"))
-        checks.append(_check("quartic_apery_agreement", s,
-                             curve.quartic_apery(p) == frozenset(quartic.apery),
-                             "closed-form set", "shortest-path set"))
+        # each check of the two special classes, rational first
+        special = {"rational": semigroup.profile_from_generators(curve.rational_generators(p)),
+                   "quartic": semigroup.profile_from_generators(curve.quartic_generators(p))}
+        closed_form = {"rational": curve.rational_apery, "quartic": curve.quartic_apery}
+        checks += [_check(f"{point}_genus", s, prof.genus == p.genus, prof.genus, p.genus)
+                   for point, prof in special.items()]
+        checks += [_check(f"{point}_symmetric", s, prof.conductor == 2 * p.genus,
+                          prof.conductor, 2 * p.genus) for point, prof in special.items()]
+        checks += [_check(f"{point}_apery_agreement", s,
+                          closed_form[point](p) == frozenset(prof.apery),
+                          "closed-form set", "shortest-path set")
+                   for point, prof in special.items()]
 
         offs = curve.phi_values(p, np.arange(curve.quartic_multiplicity(p)))
         head = offs[: (p.q - 1) ** 2 + 1]
@@ -204,86 +182,95 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # Rendering.
 
-def render(kind: str, payload: dict, fmt: str) -> str:
-    if fmt == "csv":
-        return _render_csv(kind, payload)
-    if fmt != "json":
-        return _render_text(kind, payload)
+def render(kind: str, payload: dict, fmt: str, out: TextIO | None = None) -> str | None:
+    """The report ``main`` writes: returned as one string, or, given a text
+    stream ``out``, written to it piece by piece, with no whole string built."""
+    if out is None:
+        return "".join(_pieces(kind, payload, fmt))
+    out.writelines(_pieces(kind, payload, fmt))
+
+
+def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
+    """The report as consecutive strings.  A semigroup report's trailing series
+    (generators, Apery set, gaps or witness records) goes out in blocks of _BLOCK."""
     key, series = list(payload.items())[-1]
-    if isinstance(series, families.WitnessTable):
-        blocks = _witness_blocks(series, "json")
-    elif isinstance(series, list) and series and type(series[0]) is int:
-        blocks = (",\n    ".join(map(str, series[i:i + _BLOCK])) for i in range(0, len(series), _BLOCK))
+    witnesses = isinstance(series, families.WitnessTable)
+    if witnesses and fmt == "csv":
+        raise UnsupportedCombination(_NO_WITNESS_CSV)
+    if not (witnesses or (kind == "semigroup" and isinstance(series, list) and series)):
+        writer = {"csv": _render_csv, "text": _render_text}.get(fmt)
+        yield writer(kind, payload) if writer else json.dumps(payload, indent=2) + "\n"
+        return
+
+    sep, tail = "\n", "\n"
+    if fmt == "json":
+        # The bytes of json.dumps(payload, indent=2): its head ends at the series' "[]\n}".
+        head = json.dumps({**payload, key: []}, indent=2)[:-4] + "[\n    "
+        sep, tail = ",\n    ", "\n  ]\n}\n"
+    elif fmt == "csv":
+        head = "value\n"
     else:
-        return json.dumps(payload, indent=2) + "\n"
-    # The bytes of json.dumps(payload, indent=2), without one string per item
-    # alive at once (90 MB for the s = 3 gaps): the series joins in blocks.
-    head = json.dumps({**payload, key: []}, indent=2)[:-4]  # drops the series' "[]\n}"
-    return "".join((head, "[\n    ", ",\n    ".join(blocks), "\n  ]\n}\n"))
+        head = _render_text(kind, {k: v for k, v in payload.items() if k != key})
+        if key == "generators":
+            head, sep = head + "generators = ", " "
+        elif not witnesses:
+            head += f"{key} ({len(series)} values):\n"
+
+    if witnesses:
+        blocks = _witness_blocks(series, fmt, sep)
+    else:
+        blocks = (sep.join(map(str, series[i:i + _BLOCK])) for i in range(0, len(series), _BLOCK))
+    yield head
+    for i, block in enumerate(blocks):
+        if i:
+            yield sep
+        yield block
+    yield tail
 
 
-def _witness_blocks(table: families.WitnessTable, fmt: str) -> Iterator[str]:
+def _witness_blocks(table: families.WitnessTable, fmt: str, sep: str) -> Iterator[str]:
     """The records of a witness table in blocks of _BLOCK, each record one
     %-template over its columns: the bytes json.dumps(indent=2) gives the
     old record dicts inside the payload (``fmt`` "json"), or the text line."""
     nb, ne = 2 * table.p.q0 - 2, table.p.q0 - 1
     if fmt == "json":
         d = "%d"
+        lists = {"b": [d] * nb, "e": [d] * ne}
         record = {"value": d, "family": "F%d",
-                  "params": dict.fromkeys(("a1", "a2", "a3", "a4", "f", "n", "c", "d", "sigma", "nu"), d),
-                  "witness": {"a1": d, "a2": d, "a3": d, "a4": d, "f": d,
-                              "b": [d] * nb, "c": d, "d": d, "e": [d] * ne}}
+                  "params": {f.name: d for f in fields(families.FamilyParams)},
+                  "witness": {f.name: lists.get(f.name, d) for f in fields(families.WitnessVector)}}
         template = json.dumps(record, indent=2).replace('"%d"', d).replace("\n", "\n    ")
-        rows, sep = slice(None), ",\n    "
+        rows = slice(None)
     else:
         b, e = ", ".join(["%d"] * nb), ", ".join(["%d"] * ne)
         template = f"gap %d family=F%d witness a=(%d,%d,%d,%d) b=[{b}] c=%d d=%d e=[{e}] f=%d"
         # WitnessTable rows: value, family, seed a1..a4 (12..15), b, c, d, e (17..), f (16)
-        rows, sep = [0, 1, 12, 13, 14, 15, *range(17, 19 + nb + ne), 16], "\n"
+        rows = [0, 1, 12, 13, 14, 15, *range(17, 19 + nb + ne), 16]
     for i in range(0, table.columns.shape[1], _BLOCK):
         block = table.columns[rows, i:i + _BLOCK].T.tolist()
         yield sep.join([template % tuple(r) for r in block])
 
 
 def _render_csv(kind: str, payload: dict) -> str:
-    lines = []
+    """One header line over the records' keys, then one line per record."""
     if kind == "table1":
-        lines.append("s,F1,F2,F3,F4,F5,F6,F,g")
-        for row in payload["rows"]:
-            lines.append(",".join(str(row[k]) for k in ("s", "F1", "F2", "F3", "F4", "F5", "F6", "F", "g")))
-    elif kind == "params":
-        lines.append("s,q0,q,genus")
-        lines.append(",".join(str(payload[k]) for k in ("s", "q0", "q", "genus")))
-    elif kind == "verify":
-        lines.append("name,s,passed,observed,expected,informational")
-        for c in payload["checks"]:
-            lines.append(f"{c['name']},{c['s']},{c['passed']},{c['observed']},"
-                         f"{c['expected']},{c['informational']}")
-    elif "stats" in payload:
-        stats = payload["stats"]
-        lines.append("multiplicity,genus,conductor,frobenius,symmetric")
-        lines.append(",".join(str(stats[k]) for k in
-                              ("multiplicity", "genus", "conductor", "frobenius", "symmetric")))
-    else:
-        series = payload.get("generators") or payload.get("apery") or payload.get("gaps") or []
-        if isinstance(series, families.WitnessTable):
-            raise UnsupportedCombination("--witnesses payloads have no CSV form")
-        lines.append("value")
-        lines.extend(str(v) for v in series)
+        keys, records = _TABLE1_COLUMNS, payload["rows"]
+    else:  # the verify checks, or the one stats or params record
+        records = payload["checks"] if kind == "verify" else [payload.get("stats", payload)]
+        keys = records[0].keys()
+    lines = [",".join(keys)]
+    lines.extend(",".join(str(record[k]) for k in keys) for record in records)
     return "\n".join(lines) + "\n"
 
 
 def _render_text(kind: str, payload: dict) -> str:
     lines = []
     if kind == "params":
-        for k in ("s", "q0", "q", "genus"):
-            lines.append(f"{k:>5} = {payload[k]}")
+        lines.extend(f"{k:>5} = {v}" for k, v in payload.items())
     elif kind == "table1":
-        header = ("s", "F1", "F2", "F3", "F4", "F5", "F6", "F", "g")
-        widths = [max(len(h), 8) for h in header]
-        lines.append("".join(h.rjust(w) for h, w in zip(header, widths)))
+        lines.append("".join(h.rjust(8) for h in _TABLE1_COLUMNS))
         for row in payload["rows"]:
-            lines.append("".join(str(row[h]).rjust(w) for h, w in zip(header, widths)))
+            lines.append("".join(str(row[h]).rjust(8) for h in _TABLE1_COLUMNS))
     elif kind == "verify":
         for c in payload["checks"]:
             status = "PASS" if c["passed"] else "FAIL"
@@ -293,21 +280,10 @@ def _render_text(kind: str, payload: dict) -> str:
                          f"observed={c['observed']} expected={c['expected']}")
         lines.append(f"all_passed = {payload['all_passed']}")
     else:
-        for k in ("s", "q0", "q", "genus", "point", "emit"):
-            lines.append(f"{k} = {payload[k]}")
-        if "stats" in payload:
-            for k, v in payload["stats"].items():
-                lines.append(f"{k} = {v}")
-        elif "generators" in payload:
-            lines.append("generators = " + " ".join(map(str, payload["generators"])))
-        else:
-            series = payload.get("apery") if "apery" in payload else payload.get("gaps")
-            key = "apery" if "apery" in payload else "gaps"
-            if isinstance(series, families.WitnessTable):
-                lines.extend(_witness_blocks(series, "text"))
-            else:
-                lines.append(f"{key} ({len(series)} values):")
-                lines.extend(str(v) for v in series)
+        # a semigroup report without its series; the stats dict is listed flat
+        for k, v in payload.items():
+            pairs = v.items() if isinstance(v, dict) else [(k, v)]
+            lines.extend(f"{name} = {value}" for name, value in pairs)
     return "\n".join(lines) + "\n"
 
 
@@ -316,10 +292,8 @@ def _render_text(kind: str, payload: dict) -> str:
 
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split("..")
-    if len(parts) == 1 and parts[0].isdigit():
-        return int(parts[0]), int(parts[0])
-    if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-        return int(parts[0]), int(parts[1])
+    if len(parts) <= 2 and all(part.isdigit() for part in parts):
+        return int(parts[0]), int(parts[-1])
     raise argparse.ArgumentTypeError(f"expected N or N..M, got {text!r}")
 
 
@@ -369,19 +343,21 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "params":
-            kind, (payload, code) = "params", cmd_params(args.s)
-        elif args.command == "semigroup":
-            kind, (payload, code) = "semigroup", cmd_semigroup(
-                args.s, args.point, args.emit, args.witnesses)
-        elif args.command == "table1":
-            kind, (payload, code) = "table1", cmd_table1(args.max_s)
+        kind = args.command
+        if kind == "params":
+            payload, code = cmd_params(args.s)
+        elif kind == "semigroup":
+            if args.witnesses and args.format == "csv":  # before the witness table is built
+                raise UnsupportedCombination(_NO_WITNESS_CSV)
+            payload, code = cmd_semigroup(args.s, args.point, args.emit, args.witnesses)
+        elif kind == "table1":
+            payload, code = cmd_table1(args.max_s)
         else:
-            kind, (payload, code) = "verify", cmd_verify(*args.s)
-        return _emit(render(kind, payload, args.format), args.out) or code
+            payload, code = cmd_verify(*args.s)
+        return _emit(kind, payload, args.format, args.out) or code
     except TableMismatch as exc:
         report = getattr(exc, "report", None)
-        failed = report is not None and _emit(render("table1", report, args.format), args.out)
+        failed = report is not None and _emit("table1", report, args.format, args.out)
         print(f"error: {exc}", file=sys.stderr)
         return failed or 1
     except (UnsupportedS, UnsupportedCombination, ValueError) as exc:
@@ -392,15 +368,28 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _emit(text: str, out_path: str | None) -> int:
-    """Write the report; 0, or the usage-error code 2 when PATH cannot be written."""
+def _emit(kind: str, payload: dict, fmt: str, out_path: str | None) -> int:
+    """Write the report; 0, also when the reader closes stdout early
+    (``| head``), or the usage-error code 2 when PATH cannot be written.
+    A report that fails partway leaves no partial PATH behind."""
     if out_path is None:
-        sys.stdout.write(text)
+        try:
+            render(kind, payload, fmt, out=sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # as the signal module docs advise, so the flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    fh = None
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
+            render(kind, payload, fmt, out=fh)
+    except BaseException as exc:
+        # a regular file this run opened; never a device or a link such as /dev/stdout
+        if fh is not None and os.path.isfile(out_path) and not os.path.islink(out_path):
+            os.remove(out_path)
+        if not isinstance(exc, OSError):
+            raise
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return 2
     return 0

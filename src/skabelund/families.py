@@ -56,8 +56,9 @@ class FamilyParams:
     """Exponent tuple producing one family value.
 
     ``n`` is the family index used by F2/F3/F4/F6, ``c``/``d`` are the two
-    extra exponents of F5; unused components are zero.  ``sigma`` and
-    ``nu`` are stored redundantly and must match their defining sums.
+    extra exponents of F5; unused components are zero.  ``sigma`` and ``nu``
+    are stored redundantly.  Construction checks ``sigma``; ``nu`` needs q0,
+    so ``test_records_internally_consistent`` checks it with ``tests/oracles.py::nu_of``.
     """
 
     a1: int

@@ -1,9 +1,9 @@
-"""The closed-form operations of the benchmark's special-large-s workload
-print exactly the stdout recorded in bench/digests.json.
+"""Every operation of the benchmark's three workloads prints exactly the
+stdout recorded in bench/digests.json.
 
 Each operation runs in a fresh interpreter, as the benchmark runs it.  The
-s = 3 quartic gap dump is left out: it is the slowest operation of the
-workload and reads the Apery set through the general engine, not a stream.
+benchmark refuses a changed digest as ``outputs_incorrect``; this test
+catches the change in the tier-1 suite first.
 """
 
 import hashlib
@@ -20,15 +20,15 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
 
-def _closed_form_ops():
+def _ops():
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return [op for op in module.workloads()["special-large-s"] if "gaps" not in op.args]
+    return [op for ops in module.workloads().values() for op in ops]
 
 
-@pytest.mark.parametrize("op", _closed_form_ops(), ids=lambda op: op.label)
+@pytest.mark.parametrize("op", _ops(), ids=lambda op: op.label)
 def test_op_stdout_matches_recorded_digest(op):
     digests = json.loads((BENCH / "digests.json").read_text())
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

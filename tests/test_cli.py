@@ -99,9 +99,62 @@ def test_semigroup_witnesses_payload(capsys):
 
 
 def test_witnesses_have_no_csv_form(capsys):
+    from skabelund.cli import render
+    from skabelund.errors import UnsupportedCombination
+
     code, _, err = run(capsys, "semigroup", "--s", "1", "--point", "generic",
                        "--emit", "gaps", "--witnesses", "--format", "csv")
     assert code == 2 and "CSV" in err
+    payload, _ = cmd_semigroup(1, "generic", "gaps", witnesses=True)
+    with pytest.raises(UnsupportedCombination, match="CSV"):
+        render("semigroup", payload, "csv")
+
+
+def test_witnesses_csv_refused_before_the_table_is_built(capsys, monkeypatch):
+    # the refusal costs nothing at s = 3, where the table is about 330 MB
+    import skabelund.cli as cli
+
+    def build(p):
+        raise AssertionError("witness table built for a refused request")
+
+    monkeypatch.setattr(cli.families, "witness_table", build)
+    code, out, err = run(capsys, "semigroup", "--s", "3", "--point", "generic",
+                         "--emit", "gaps", "--witnesses", "--format", "csv")
+    assert (code, out, err) == (2, "", "error: --witnesses payloads have no CSV form\n")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_report_leaves_no_out_file(existing, capsys, monkeypatch, tmp_path):
+    # a report that fails after its first block leaves no partial PATH behind
+    import skabelund.cli as cli
+
+    real_blocks = cli._witness_blocks
+
+    def blocks(table, fmt, sep):
+        yield next(real_blocks(table, fmt, sep))
+        raise MemoryError("witness block")
+
+    monkeypatch.setattr(cli, "_BLOCK", 50)
+    monkeypatch.setattr(cli, "_witness_blocks", blocks)
+    target = tmp_path / "dump.json"
+    if existing:
+        target.write_text("an older report\n", encoding="utf-8")
+    code, out, err = run(capsys, "semigroup", "--s", "1", "--point", "generic", "--emit", "gaps",
+                         "--witnesses", "--format", "json", "--out", str(target))
+    assert (code, out, err) == (3, "", "internal error: MemoryError: witness block\n")
+    assert not target.exists()
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that stops early (| head -2) gets no traceback and exit 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skabelund", "semigroup", "--s", "2", "--point", "generic",
+         "--emit", "gaps"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head == [b"s = 2\n", b"q0 = 4\n"]
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_table1_text_and_csv(capsys):
@@ -380,3 +433,61 @@ def test_json_render_matches_json_dumps():
                  {"s": 9, "gaps": []}, cmd_verify(1, 1)[0]]
     for payload in payloads:
         assert render("semigroup", payload, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _semigroup_payload(s: int, point: str, emit: str) -> dict:
+    return cmd_semigroup(s, point, emit)[0]
+
+
+def _per_item_render(payload: dict, fmt: str) -> str:
+    """A semigroup report written one string per series item, as the text
+    and CSV writers once wrote it."""
+    stats = payload.get("stats")
+    if fmt == "csv":
+        if stats:
+            lines = ["multiplicity,genus,conductor,frobenius,symmetric",
+                     ",".join(str(stats[k]) for k in
+                              ("multiplicity", "genus", "conductor", "frobenius", "symmetric"))]
+        else:
+            lines = ["value", *(str(v) for v in payload[payload["emit"]])]
+        return "\n".join(lines) + "\n"
+    lines = [f"{k} = {payload[k]}" for k in ("s", "q0", "q", "genus", "point", "emit")]
+    if stats:
+        lines.extend(f"{k} = {v}" for k, v in stats.items())
+    elif "generators" in payload:
+        lines.append("generators = " + " ".join(map(str, payload["generators"])))
+    else:
+        key = payload["emit"]
+        lines.append(f"{key} ({len(payload[key])} values):")
+        lines.extend(str(v) for v in payload[key])
+    return "\n".join(lines) + "\n"
+
+
+# every point and emit at s = 1 and 2 in blocks of 65,536; the series longer than
+# 1,000 items (the s = 2 gaps and generic Apery set) again in blocks of 1,000
+_SERIES_CASES = [(s, point, emit, 65536) for s in (1, 2)
+                 for point in ("rational", "quartic", "generic")
+                 for emit in ("generators", "apery", "gaps", "stats")]
+_SERIES_CASES += [(2, point, "gaps", 1000) for point in ("rational", "quartic", "generic")]
+_SERIES_CASES += [(2, "generic", "apery", 1000)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("s, point, emit, block", _SERIES_CASES)
+def test_text_and_csv_series_match_per_item_render(s, point, emit, fmt, block, capsys,
+                                                   monkeypatch, tmp_path):
+    # series written in blocks give the per-item bytes, across block boundaries
+    # too; render() returns what main writes, and --out writes the same bytes
+    import skabelund.cli as cli
+
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    argv = ["semigroup", "--s", str(s), "--point", point, "--emit", emit, "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = _semigroup_payload(s, point, emit)
+    assert out == _per_item_render(payload, fmt)
+    assert cli.render("semigroup", payload, fmt) == out
+    target = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == out
