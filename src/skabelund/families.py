@@ -331,8 +331,8 @@ def generic_semigroup(p: CurveParams) -> GenericSemigroup:
     Reads the Apery set of C off the mask of :func:`gap_mask` and certifies
     exactly that C is a semigroup.  C lies inside the set the Apery array
     describes, so the two are equal iff they have as many gaps; that set is
-    closed iff the minimal-generator sweep ends on the same Apery array.
-    Either failure raises NotClosed.
+    closed iff its minimal generators reach every Apery element by a tight
+    edge (:func:`minimal_generators`).  Either failure raises NotClosed.
     """
     if p.s > 3:
         raise UnsupportedS("generic-point enumeration is supported for s <= 3")
@@ -471,6 +471,7 @@ def witness_table(p: CurveParams) -> WitnessTable:
         family = np.full_like(values, fid.value)
         blocks.append(np.vstack((values, family, params, _seeds(p, fid, params))))
     columns = np.concatenate(blocks, axis=1)
+    blocks.clear()  # so that at most two copies of the table are alive
     columns = columns[:, np.argsort(columns[0])]
     return WitnessTable(p, columns, _is_witness(p, columns[0], columns[12:]))
 

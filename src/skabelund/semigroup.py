@@ -9,10 +9,13 @@ where each generator g contributes edges r -> (r + g) mod m of weight g.
 It is computed by the round-robin sweep of Boecker & Liptak ("A fast and
 simple algorithm for the money changing problem", Algorithmica 48, 2007):
 one generator at a time, one vectorised pass per residue cycle, in
-O(k * m) with no heap.  The same pass, applied to the Apery elements in
-increasing order, picks out the minimal generators and decides whether an
-Apery array describes a set closed under addition.  Membership, gaps,
-genus, conductor and Frobenius number follow by direct arithmetic:
+O(k * m) with no heap.  The minimal generators of a given Apery array, and
+whether it describes a set closed under addition, come from the
+reduced-cost optimality conditions of shortest paths instead (Ahuja,
+Magnanti & Orlin, "Network Flows", 1993, ch. 5): each generator's edges
+are tested against the array itself, one shifted add and min per
+generator, with no new path computed.  Membership, gaps, genus, conductor
+and Frobenius number follow by direct arithmetic:
 
     n in S          iff  n >= apery[n mod m]
     genus           =    sum(a // m for a in apery)
@@ -130,15 +133,19 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     with no heap.
 
     Every Apery element is a sum of at most m - 1 generators, so the
-    "unreached" sentinel (m - 1) * max(gens) + 1 lies above them all.
-    Raises :class:`Overflow` when an Apery element exceeds 64 bits
-    unsigned.
+    "unreached" sentinel (m - 1) * max(gens) + 1 lies above them all.  The
+    sweep forms no value more than m * max(gens) above it, so the array is
+    int64 when that fits and holds Python ints otherwise.  Raises
+    :class:`Overflow` when an Apery element exceeds 64 bits unsigned.
     """
     gens = gen_set.gens
     m = gens[0]
     if m == 1:
         return SemigroupProfile(1, (0,), 0, 0, -1)
-    dist = _multiples_of(m, (m - 1) * gens[-1] + 1, gens[-1])
+    unreached = (m - 1) * gens[-1] + 1
+    fits = unreached + m * gens[-1] <= np.iinfo(np.int64).max
+    dist = np.full(m, unreached, dtype=np.int64 if fits else object)
+    dist[0] = 0
     for a in gens[1:]:
         _add_generator(dist, a)
     # gcd(gens) == 1 guarantees every residue class is reached.
@@ -147,19 +154,6 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     if top > U64_MAX:
         raise Overflow(f"Apery element exceeds 64 bits at residue {top % m}")
     return SemigroupProfile.from_apery(apery)
-
-
-def _multiples_of(m: int, unreached: int, top: int) -> np.ndarray:
-    """The Apery array of <m> alone: 0 at residue 0, ``unreached`` elsewhere.
-
-    Adding generators up to ``top`` keeps every value the sweep forms
-    within m * top of ``unreached``, so the array is int64 when that fits
-    and holds Python ints otherwise.
-    """
-    fits = unreached + m * top <= np.iinfo(np.int64).max
-    dist = np.full(m, unreached, dtype=np.int64 if fits else object)
-    dist[0] = 0
-    return dist
 
 
 def _add_generator(dist: np.ndarray, a: int) -> None:
@@ -248,29 +242,42 @@ def verify_cofinite_complement(gs: GapSet) -> bool:
 
 
 def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
-    """Minimal generating set, by one round-robin sweep over the Apery set.
+    """Minimal generating set, found and certified by the tight edges of
+    the Apery array D = ``p.apery``.
 
-    Start from <m> and walk the nonzero Apery elements in increasing order.
-    An element w that the generators so far do not reach (w below their
-    Apery element in its residue) is minimal: it is kept and added with
-    :func:`_add_generator`.  Every other w is a sum of smaller generators.
+    Hold best[r] = min over the generators g found so far of
+    D[(r - g) mod m] + g; the multiplicity m contributes D + m.  Walk the
+    nonzero Apery elements in increasing order, in windows [j*m, (j+1)*m).
+    An element w is a new minimal generator iff best[w mod m] > w.  Every
+    generator that could reach w lies below w - m, since the Apery element
+    it leaves from exceeds m, so an earlier window has applied it.
 
-    The kept elements lie in the set the Apery array describes, and they
-    reach every Apery element, so the sweep ends on ``p.apery`` exactly
-    when that set is closed under addition.  Otherwise it raises
-    :class:`NotClosed`, naming the first residue that differs.
+    The walk ends with best == D, taking best[0] = 0, exactly when D is the
+    Apery set of a semigroup: D[0] = 0, no edge improves D, and every
+    other residue has a tight in-edge, D[r] = D[r - g] + g, whose chain
+    strictly falls to residue 0.  Otherwise it raises :class:`NotClosed`,
+    naming the first residue where the two differ, or a residue whose entry
+    is not above m.
     """
     m = p.multiplicity
-    top = max(p.apery)
-    dist = _multiples_of(m, top + 1, top)
+    fits = 2 * max(p.apery) <= np.iinfo(np.int64).max
+    dist = np.array(p.apery, dtype=np.int64 if fits else object)
+    best, scratch = dist + m, np.empty_like(dist)
+    order = np.argsort(dist[1:]) + 1
+    if m > 1 and dist[order[0]] <= m:
+        raise NotClosed(f"residue {order[0]} holds {dist[order[0]]}, not above m = {m}")
+    rows = dist[order] // m
     gens = [m]
-    for w in sorted(p.apery)[1:]:
-        if w < dist[w % m]:
+    for window in np.split(order, np.flatnonzero(rows[1:] != rows[:-1]) + 1):
+        for w in dist[window[best[window] > dist[window]]].tolist():
             gens.append(w)
-            _add_generator(dist, w)
-    reached = dist.tolist()
-    if reached != list(p.apery):
-        r = next(r for r, (x, y) in enumerate(zip(reached, p.apery)) if x != y)
-        raise NotClosed(f"generators reach {reached[r]} at residue {r}, where the "
+            k = w % m
+            np.add(dist[:m - k], w, out=scratch[k:])
+            np.add(dist[m - k:], w, out=scratch[:k])
+            np.minimum(best, scratch, out=best)
+    best[0] = 0
+    if not np.array_equal(best, dist):
+        r = int(np.argmax(best != dist))
+        raise NotClosed(f"generators reach {best[r]} at residue {r}, where the "
                         f"Apery set has {p.apery[r]}: not closed under addition")
     return tuple(gens)

@@ -47,6 +47,34 @@ def sieve_window(gens: list[int]) -> int:
     return min(gens) * max(gens)
 
 
+def sieve_minimal_generators(gens: list[int]) -> list[int]:
+    """The positive members of <gens> on the DP sieve that are not a sum of
+    two positive members.  A member above max(gens) is a sum of at least
+    two generators, so the sieve up to max(gens) holds every candidate."""
+    limit = max(gens) + 1
+    reach = sieve_members(gens, limit)
+    positive = [n for n in range(1, limit) if reach[n]]
+    bits = int("".join("1" if reach[n] else "0" for n in reversed(range(limit))), 2) & ~1
+    sums = 0  # bit n set: n = a + b for positive members a <= b
+    for a in positive:
+        if 2 * a >= limit:
+            break
+        sums |= bits << a
+    return [n for n in positive if not sums >> n & 1]
+
+
+def closed_apery(m: int, apery: list[int]) -> bool:
+    """True iff ``apery`` is the Apery set, with respect to its least
+    positive element m, of a set closed under addition: apery[0] == 0, each
+    other apery[r] is congruent to r and above m, and each pair sums to at
+    least the entry of its residue.  The members of residue r are
+    apery[r] + k*m, so those pairs cover every sum."""
+    if apery[0] != 0 or any(a % m != r or a <= m for r, a in enumerate(apery) if r):
+        return False
+    return all(a + b >= apery[(r + t) % m]
+               for r, a in enumerate(apery) for t, b in enumerate(apery))
+
+
 def random_generator_list(rng: random.Random) -> list[int]:
     """A random gcd-1 generator list with multiplicity <= 50, values <= 500."""
     while True:

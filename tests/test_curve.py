@@ -26,7 +26,7 @@ from skabelund import (
 )
 from skabelund.curve import phi_values
 
-from oracles import phi_formula
+from oracles import phi_formula, sieve_minimal_generators
 
 
 def test_make_params_small():
@@ -160,6 +160,8 @@ def test_paper_generator_lists_are_minimal(s):
     p = make_params(s)
     for gens in (rational_generators(p), quartic_generators(p)):
         assert minimal_generators(profile_from_generators(gens)) == gens.gens
+        if s <= 2:
+            assert list(gens.gens) == sieve_minimal_generators(list(gens.gens))
     assert len(quartic_generators(p).gens) == 3 * p.q0 + 3
 
 

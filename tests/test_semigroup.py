@@ -20,7 +20,14 @@ from skabelund import (
     verify_cofinite_complement,
 )
 
-from oracles import random_generator_list, sieve_gaps, sieve_members, sieve_window
+from oracles import (
+    closed_apery,
+    random_generator_list,
+    sieve_gaps,
+    sieve_members,
+    sieve_minimal_generators,
+    sieve_window,
+)
 
 
 def profile_of(*gens):
@@ -174,6 +181,9 @@ def test_minimal_generators_reject_unclosed_apery_set():
     # residues 1, 3 hold 5 and 7, but 5 + 5 = 10 < 14 sits in residue 2
     with pytest.raises(NotClosed, match="residue 2"):
         minimal_generators(SemigroupProfile.from_apery((0, 5, 14, 7)))
+    # closed, but <2, 3> has multiplicity 2: not its Apery set for m = 3
+    with pytest.raises(NotClosed, match="residue 2"):
+        minimal_generators(SemigroupProfile.from_apery((0, 4, 2)))
 
 
 def test_minimal_generators_regenerate():
@@ -184,6 +194,49 @@ def test_minimal_generators_regenerate():
         mg = minimal_generators(p)
         q = profile_from_generators(normalize_generators(mg))
         assert q == p
+
+
+def test_minimal_generators_match_sieve_oracle():
+    # exactly minimal, not just regenerating: no member of the result is a
+    # sum of two positive members
+    rng = random.Random(17)
+    for _ in range(60):
+        gens = random_generator_list(rng)
+        p = profile_from_generators(GeneratorSet(tuple(gens)))
+        assert list(minimal_generators(p)) == sieve_minimal_generators(gens)
+
+
+def test_minimal_generators_certify_corrupted_profiles():
+    # one nonzero residue moved by m or 2m, or two nonzero residues swapped:
+    # NotClosed exactly when the brute-force check rejects the array, and
+    # the oracle's generators otherwise
+    rng = random.Random(23)
+    raised = 0
+    for _ in range(1000):
+        gens = random_generator_list(rng)
+        m = gens[0]
+        if m < 3:
+            continue
+        apery = list(profile_from_generators(GeneratorSet(tuple(gens))).apery)
+        r, t = rng.sample(range(1, m), 2)
+        if rng.random() < 0.5:
+            apery[r] += rng.choice((-2, -1, 1, 2)) * m
+        else:
+            apery[r], apery[t] = apery[t], apery[r]
+        p = SemigroupProfile.from_apery(apery)
+        if closed_apery(m, apery):
+            assert list(minimal_generators(p)) == sieve_minimal_generators([m] + apery[1:])
+        else:
+            raised += 1
+            with pytest.raises(NotClosed):
+                minimal_generators(p)
+    assert 0 < raised < 1000
+
+
+def test_minimal_generators_of_values_beyond_int64():
+    # Apery elements past 2**63 take the Python-int path
+    for gens in ((3, 2**62 + 1), (2, 2**64 - 1)):
+        assert minimal_generators(profile_from_generators(GeneratorSet(gens))) == gens
 
 
 def test_stats_from_profile():

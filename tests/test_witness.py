@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,3 +111,16 @@ def test_pole_bound_is_inclusive(p2, records_s2):
         table.require_valid()
     with pytest.raises(NoWitness):
         gap_witness(tight, records[failing[0]])
+
+
+def test_witness_table_peak_memory(p2):
+    # the per-family blocks are freed once joined, so the sort copy lives
+    # beside one copy of the table, not two
+    witness_table(p2)
+    tracemalloc.start()
+    try:
+        table = witness_table(p2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table.columns.nbytes
