@@ -5,17 +5,18 @@ under addition, with finite complement.  Everything here is driven by the
 Apery set: for each residue class modulo the multiplicity m (the smallest
 positive element), the least semigroup element in that class.  The Apery
 set is the single-source shortest-path vector of the residue graph Z/mZ,
-where each generator g contributes edges r -> (r + g) mod m of weight g.
-It is computed by the round-robin sweep of Boecker & Liptak ("A fast and
-simple algorithm for the money changing problem", Algorithmica 48, 2007):
-one generator at a time, one vectorised pass per residue cycle, in
-O(k * m) with no heap.  The minimal generators of a given Apery array, and
-whether it describes a set closed under addition, come from the
-reduced-cost optimality conditions of shortest paths instead (Ahuja,
-Magnanti & Orlin, "Network Flows", 1993, ch. 5): each generator's edges
-are tested against the array itself, one shifted add and min per
-generator, with no new path computed.  Membership, gaps, genus, conductor
-and Frobenius number follow by direct arithmetic:
+where each generator g contributes edges r -> (r + g) mod m of weight g
+(Boecker & Liptak, Algorithmica 48, 2007).  It is built one generator at
+a time by min-plus doubling, a few shifted adds and mins over the
+residues per generator, in m * sum(ceil(log2(uses + 1))) with no heap,
+where uses bounds how often one generator can lie on a shortest path.
+The minimal generators of a given Apery array, and whether it describes
+a set closed under addition, come from the reduced-cost optimality
+conditions of shortest paths (Ahuja, Magnanti & Orlin, "Network Flows",
+1993, ch. 5): each generator's edges are tested against the array
+itself, by the same shifted add and min, with no new path computed.
+Membership, gaps, genus, conductor and Frobenius number follow by direct
+arithmetic:
 
     n in S          iff  n >= apery[n mod m]
     genus           =    sum(a // m for a in apery)
@@ -127,16 +128,22 @@ def normalize_generators(raw: Iterable[int]) -> GeneratorSet:
 
 
 def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
-    """Compute the Apery set of <gens> by the Boecker-Liptak round robin:
-    start from <m>, m = min(gens), and add the other generators one at a
-    time with :func:`_add_generator`.  Runs in O(k * m) for k generators,
-    with no heap.
+    """Compute the Apery set of <gens> as shortest paths, by doubling.
+
+    Start from <m>, m = min(gens), and add the other generators one at a
+    time.  With D the Apery array so far, adding a gives
+    D'[r] = min over j >= 0 of D[(r - j*a) mod m] + j*a.  Only j with
+    j*a <= max(D) and j < m / gcd(a, m) can improve an entry; call the
+    largest such j uses.  Starting from E = D, each :func:`_relax` pass
+    E = min(E, shift(E, 2**i * a) + 2**i * a) doubles the j covered, so
+    ceil(log2(uses + 1)) passes over m add a.
 
     Every Apery element is a sum of at most m - 1 generators, so the
-    "unreached" sentinel (m - 1) * max(gens) + 1 lies above them all.  The
-    sweep forms no value more than m * max(gens) above it, so the array is
-    int64 when that fits and holds Python ints otherwise.  Raises
-    :class:`Overflow` when an Apery element exceeds 64 bits unsigned.
+    "unreached" sentinel (m - 1) * max(gens) + 1 lies above them all.
+    Every value formed is at most 2 * max(D) <= 2 * unreached <=
+    unreached + m * max(gens), so the array is int64 when that fits and
+    holds Python ints otherwise.  Raises :class:`Overflow` when an Apery
+    element exceeds 64 bits unsigned.
     """
     gens = gen_set.gens
     m = gens[0]
@@ -146,47 +153,30 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     fits = unreached + m * gens[-1] <= np.iinfo(np.int64).max
     dist = np.full(m, unreached, dtype=np.int64 if fits else object)
     dist[0] = 0
+    scratch = np.empty_like(dist)
     for a in gens[1:]:
-        _add_generator(dist, a)
+        uses = min(int(dist.max()) // a, m // math.gcd(a, m) - 1)
+        span = 1
+        while span <= uses:
+            _relax(dist, dist, span * a, scratch)
+            span *= 2
     # gcd(gens) == 1 guarantees every residue class is reached.
-    apery = dist.tolist()
-    top = max(apery)
+    top = int(dist.max())
     if top > U64_MAX:
         raise Overflow(f"Apery element exceeds 64 bits at residue {top % m}")
-    return SemigroupProfile.from_apery(apery)
+    conductor = 1 + top - m
+    return SemigroupProfile(m, tuple(dist.tolist()), int((dist // m).sum()),
+                            conductor, conductor - 1)
 
 
-def _add_generator(dist: np.ndarray, a: int) -> None:
-    """One round-robin pass: lower the Apery array ``dist`` in place to
-    that of the semigroup it describes with the generator a added.
-
-    a splits Z/mZ into d = gcd(a, m) cycles r -> r + a of length L = m / d.
-    Along a cycle with entries v_0 .. v_{L-1}, the shortest paths that may
-    also use a are
-
-        w_k = k*a + min(min_{j <= k} (v_j - j*a), min_j (v_j - j*a) + L*a),
-
-    where the second term enters the cycle by wrapping past its end once;
-    wrapping twice never helps.  That is one ``np.minimum.accumulate`` per
-    cycle, all cycles at once.
-    """
+def _relax(best: np.ndarray, dist: np.ndarray, w: int, scratch: np.ndarray) -> None:
+    """best[r] = min(best[r], dist[(r - w) mod m] + w) for every residue r:
+    two slice adds into ``scratch`` and one minimum in place."""
     m = len(dist)
-    step = a % m
-    if step == 0:  # self-loops in the residue graph never improve a distance
-        return
-    d = math.gcd(step, m)
-    length = m // d
-    # cycles[p, t] = (p + t*a) mod m, one row per cycle; the offsets are
-    # multiples of d below m, so p + offset needs no reduction.
-    offsets = np.arange(length, dtype=np.int64) * step % m
-    cycles = np.arange(d, dtype=np.int64)[:, None] + offsets
-    walked = np.arange(length, dtype=dist.dtype) * a
-    vals = dist[cycles] - walked
-    wrapped = vals.min(axis=1) + length * a
-    np.minimum(vals[:, 0], wrapped, out=vals[:, 0])
-    np.minimum.accumulate(vals, axis=1, out=vals)
-    vals += walked
-    dist[cycles] = vals
+    k = w % m
+    np.add(dist[:m - k], w, out=scratch[k:])
+    np.add(dist[m - k:], w, out=scratch[:k])
+    np.minimum(best, scratch, out=best)
 
 
 def contains(p: SemigroupProfile, n: int) -> bool:
@@ -271,10 +261,7 @@ def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     for window in np.split(order, np.flatnonzero(rows[1:] != rows[:-1]) + 1):
         for w in dist[window[best[window] > dist[window]]].tolist():
             gens.append(w)
-            k = w % m
-            np.add(dist[:m - k], w, out=scratch[k:])
-            np.add(dist[m - k:], w, out=scratch[:k])
-            np.minimum(best, scratch, out=best)
+            _relax(best, dist, w, scratch)
     best[0] = 0
     if not np.array_equal(best, dist):
         r = int(np.argmax(best != dist))

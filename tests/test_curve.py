@@ -149,13 +149,13 @@ def test_quartic_apery():
 
 
 def test_apery_sets_match_engine():
-    for s in (1, 2):
+    for s in (1, 2, 3, 4):
         p = make_params(s)
         assert rational_apery(p) == frozenset(profile_from_generators(rational_generators(p)).apery)
         assert quartic_apery(p) == frozenset(profile_from_generators(quartic_generators(p)).apery)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_paper_generator_lists_are_minimal(s):
     p = make_params(s)
     for gens in (rational_generators(p), quartic_generators(p)):

@@ -131,14 +131,34 @@ def test_overflow_guard_is_exact():
 
 
 @pytest.mark.parametrize("gens", [(6, 9, 20), (4, 8, 9), (10, 14, 15, 25), (12, 18, 28, 35)])
-def test_round_robin_multi_cycle_matches_sieve(gens):
-    # Generators sharing a factor with m split Z/mZ into several cycles;
-    # a generator = 0 mod m is a self-loop.
+def test_engine_multi_cycle_matches_sieve(gens):
+    # A generator a with gcd(a, m) > 1 walks a cycle of length m / gcd(a, m),
+    # which bounds its uses on a shortest path; a generator = 0 mod m is a
+    # self-loop, used never.
     p = profile_from_generators(GeneratorSet(gens))
     m = gens[0]
     members = sieve_members(list(gens), sieve_window(list(gens)))
     first = [min(n for n in range(r, len(members), m) if members[n]) for r in range(m)]
     assert p.apery == tuple(first)
+
+
+@pytest.mark.parametrize("m", [31, 32, 33, 1023, 1024, 1025])
+def test_engine_doubling_bound(m):
+    # Ap(<m, a>) = {j*a : 0 <= j < m} needs exactly m - 1 uses of a, so the
+    # doubling passes must cover every j < m, at and around powers of two.
+    for a in (m + 1, 1000 * m + 1):
+        apery = [0] * m
+        for j in range(m):
+            apery[j * a % m] = j * a
+        assert profile_from_generators(GeneratorSet((m, a))).apery == tuple(apery)
+
+
+def test_engine_doubling_bound_near_int64_limit():
+    # int64 path: every value formed stays below 2 * ((m - 1) * a + 1)
+    for m, a in ((3, 2**60 + 1), (5, 2**59 + 3)):
+        p = profile_from_generators(GeneratorSet((m, a)))
+        assert sorted(p.apery) == [j * a for j in range(m)]
+        assert p.genus == sum(j * a // m for j in range(m))
 
 
 def test_apery_structure_random():
