@@ -36,6 +36,7 @@ TABLE1 = {
 _POINTS = ("rational", "quartic", "generic")
 _EMITS = ("generators", "apery", "gaps", "stats")
 _BLOCK = 65536  # series items rendered per piece
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # the least values of 2..19 digits
 _TABLE1_COLUMNS = ("s", "F1", "F2", "F3", "F4", "F5", "F6", "F", "g")
 _NO_WITNESS_CSV = "--witnesses payloads have no CSV form"
 
@@ -74,13 +75,13 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
                 table.require_valid()
                 payload["gaps"] = table  # rendered record by record, see _witness_blocks
             else:
-                payload["gaps"] = gaps.nonzero()[0].tolist()
+                payload["gaps"] = np.flatnonzero(gaps)
         else:
             generic = families.generic_semigroup(p)
             if emit == "stats":
                 payload["stats"] = asdict(semigroup.SemigroupStats.from_profile(generic.profile))
             elif emit == "apery":
-                payload["apery"] = sorted(generic.profile.apery)
+                payload["apery"] = np.sort(np.asarray(generic.profile.apery, dtype=np.int64))
             else:
                 payload["generators"] = list(generic.generators)
         return payload, 0
@@ -89,10 +90,10 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     if emit == "generators":
         payload["generators"] = list(gens.gens)
     elif emit == "apery":
-        apery = curve.rational_apery(p) if point == "rational" else curve.quartic_apery(p)
-        payload["apery"] = sorted(apery)
+        blocks = curve._rational_blocks(p) if point == "rational" else curve._quartic_blocks(p)
+        payload["apery"] = np.sort(curve._by_residue(p, gens.gens[0], blocks))
     elif emit == "gaps":
-        payload["gaps"] = list(semigroup.gaps_of(semigroup.profile_from_generators(gens)).gaps)
+        payload["gaps"] = semigroup._gap_array(semigroup.profile_from_generators(gens))
     else:
         stats_of = curve.rational_apery_stats if point == "rational" else curve.quartic_apery_stats
         payload["stats"] = asdict(stats_of(p))
@@ -192,12 +193,16 @@ def render(kind: str, payload: dict, fmt: str, out: TextIO | None = None) -> str
 
 def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
     """The report as consecutive strings.  A semigroup report's trailing series
-    (generators, Apery set, gaps or witness records) goes out in blocks of _BLOCK."""
+    goes out in blocks of _BLOCK: generators, Apery set or gaps (a list or an
+    array, read as one int64 array) through :func:`_decimal`, witness records
+    through :func:`_witness_blocks`."""
     key, series = list(payload.items())[-1]
     witnesses = isinstance(series, families.WitnessTable)
     if witnesses and fmt == "csv":
         raise UnsupportedCombination(_NO_WITNESS_CSV)
-    if not (witnesses or (kind == "semigroup" and isinstance(series, list) and series)):
+    if kind == "semigroup" and isinstance(series, (list, np.ndarray)):
+        series = np.asarray(series, dtype=np.int64)
+    if not (witnesses or (isinstance(series, np.ndarray) and series.size)):
         writer = {"csv": _render_csv, "text": _render_text}.get(fmt)
         yield writer(kind, payload) if writer else json.dumps(payload, indent=2) + "\n"
         return
@@ -219,13 +224,42 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
     if witnesses:
         blocks = _witness_blocks(series, fmt, sep)
     else:
-        blocks = (sep.join(map(str, series[i:i + _BLOCK])) for i in range(0, len(series), _BLOCK))
+        blocks = (_decimal(series[i:i + _BLOCK], sep) for i in range(0, len(series), _BLOCK))
     yield head
     for i, block in enumerate(blocks):
         if i:
             yield sep
         yield block
     yield tail
+
+
+def _decimal(v: np.ndarray, sep: str) -> str:
+    """sep.join(map(str, v)) for a nondecreasing, nonnegative int64 array.
+
+    The values of w digits are one run, cut by searchsorted.  w passes of
+    x // 10 and its remainder fill a (w, n) digit matrix, last digit first;
+    its transpose and sep fill the run's (n, w + len(sep)) ASCII bytes.
+    """
+    if v.size and (v[0] < 0 or (v[1:] < v[:-1]).any()):
+        raise ValueError("a series must be nondecreasing and nonnegative")
+    tail = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+    cuts = [0, *np.searchsorted(v, _POWERS).tolist(), v.size]
+    runs = []
+    for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
+        if lo == hi:
+            continue
+        x, digits = v[lo:hi], np.empty((w, hi - lo), dtype=np.uint8)
+        for row in range(w - 1, -1, -1):
+            q = x // 10  # a scalar floor division, several times faster than np.divmod
+            digits[row] = x - 10 * q
+            x = q
+        digits += ord("0")
+        run = np.empty((hi - lo, w + tail.size), dtype=np.uint8)
+        run[:, :w] = digits.T
+        run[:, w:] = tail
+        runs.append(run.tobytes())
+    text = b"".join(runs)
+    return text[:len(text) - tail.size].decode("ascii")
 
 
 def _witness_blocks(table: families.WitnessTable, fmt: str, sep: str) -> Iterator[str]:

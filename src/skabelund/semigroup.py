@@ -187,15 +187,19 @@ def contains(p: SemigroupProfile, n: int) -> bool:
 
 
 def gaps_of(p: SemigroupProfile) -> GapSet:
-    """All gaps of the semigroup; n is a gap iff n < apery[n mod m].
+    """All gaps of the semigroup, from :func:`_gap_array`."""
+    return GapSet(tuple(_gap_array(p).tolist()), p.conductor)
+
+
+def _gap_array(p: SemigroupProfile) -> np.ndarray:
+    """All gaps, in order, as an int64 array; n is a gap iff n < apery[n mod m].
 
     With n = k*m + r, that reads k < (apery[r] - r) / m, so the gaps are
     the flat indices, in order, where a (rows, m) table of it holds.
     """
     m = p.multiplicity
     heights = (np.asarray(p.apery, dtype=np.int64) - np.arange(m)) // m
-    gaps = np.flatnonzero(np.arange(heights.max())[:, None] < heights).tolist()
-    return GapSet(tuple(gaps), p.conductor)
+    return np.flatnonzero(np.arange(heights.max())[:, None] < heights)
 
 
 def is_symmetric(p: SemigroupProfile) -> bool:

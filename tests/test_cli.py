@@ -1,8 +1,11 @@
 import functools
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from skabelund import GeneratorSet
@@ -64,7 +67,7 @@ def test_semigroup_json_round_trip(capsys):
                        "--emit", "gaps", "--format", "json")
     payload, _ = cmd_semigroup(1, "rational", "gaps")
     assert code == 0
-    assert json.loads(out) == payload
+    assert json.loads(out) == _listed(payload)
 
 
 def test_semigroup_caps(capsys):
@@ -423,21 +426,36 @@ def test_one_generic_build_per_request(argv, capsys, monkeypatch):
     assert calls == ["mark", "sweep"]
 
 
-def test_json_render_matches_json_dumps():
-    # series are joined block by block; the bytes must stay those of json.dumps
-    from skabelund.cli import render
+def _listed(payload: dict) -> dict:
+    """The payload with its array series as a list, as json.dumps takes it."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
 
-    payloads = [cmd_semigroup(1, point, emit)[0] for point in ("rational", "quartic", "generic")
+
+def test_json_render_matches_json_dumps(monkeypatch):
+    # series are joined block by block; the bytes must stay those of json.dumps,
+    # also at the benchmark's sizes and with block edges inside a run of one width
+    import skabelund.cli as cli
+
+    payloads = [_semigroup_payload(1, point, emit) for point in ("rational", "quartic", "generic")
                 for emit in ("generators", "apery", "gaps", "stats")]
+    payloads += [_semigroup_payload(*case) for case in _LARGE_SERIES]
     payloads += [{"s": 9, "gaps": list(range(1, 200_000, 3))}, {"s": 9, "gaps": [7]},
                  {"s": 9, "gaps": []}, cmd_verify(1, 1)[0]]
     for payload in payloads:
-        assert render("semigroup", payload, "json") == json.dumps(payload, indent=2) + "\n"
+        expected = json.dumps(_listed(payload), indent=2) + "\n"
+        for block in (65536, 1000):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            assert cli.render("semigroup", payload, "json") == expected
 
 
 @functools.lru_cache(maxsize=None)
 def _semigroup_payload(s: int, point: str, emit: str) -> dict:
     return cmd_semigroup(s, point, emit)[0]
+
+
+# the series of the benchmark's dumps: about a million gaps each at s = 3,
+# and the 261,633 values of the quartic Apery set at s = 4
+_LARGE_SERIES = [(3, "quartic", "gaps"), (3, "generic", "gaps"), (4, "quartic", "apery")]
 
 
 def _per_item_render(payload: dict, fmt: str) -> str:
@@ -471,6 +489,7 @@ _SERIES_CASES = [(s, point, emit, 65536) for s in (1, 2)
                  for emit in ("generators", "apery", "gaps", "stats")]
 _SERIES_CASES += [(2, point, "gaps", 1000) for point in ("rational", "quartic", "generic")]
 _SERIES_CASES += [(2, "generic", "apery", 1000)]
+_SERIES_CASES += [(*case, block) for case in _LARGE_SERIES for block in (65536, 1000)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
@@ -491,3 +510,47 @@ def test_text_and_csv_series_match_per_item_render(s, point, emit, fmt, block, c
     target = tmp_path / "report.txt"
     assert main([*argv, "--out", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+_BOUNDARIES = [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [2**63 - 1]
+
+
+@pytest.mark.parametrize("sep", ["", " ", "\n", ",\n    "])
+def test_decimal_matches_str_join(sep):
+    # every width from 1 to 19 digits, alone, together and at random
+    from skabelund.cli import _decimal
+
+    rng = np.random.default_rng(12)
+    cases = [[0], [7], [10**18], [2**63 - 1], [0, 0, 5], _BOUNDARIES, [0, *_BOUNDARIES]]
+    cases += [[b] for b in _BOUNDARIES]
+    cases += [np.sort(rng.integers(0, high, size)).tolist()
+              for high in (10, 1000, 2**31, 2**63 - 1) for size in (1, 17, 5000)]
+    for values in cases:
+        assert _decimal(np.asarray(values, dtype=np.int64), sep) == sep.join(map(str, values))
+    assert _decimal(np.empty(0, dtype=np.int64), sep) == ""
+
+
+@pytest.mark.parametrize("values", [[-1], [-5, 3], [3, 2], [10**18, 9], [0, 5, 4, 6]])
+def test_decimal_rejects_decreasing_or_negative(values):
+    from skabelund.cli import _decimal
+
+    with pytest.raises(ValueError, match="nondecreasing and nonnegative"):
+        _decimal(np.asarray(values, dtype=np.int64), "\n")
+
+
+@pytest.mark.parametrize("point", ["generic", "quartic"])
+def test_gap_dump_peak_memory(point):
+    # a million gaps stay one int64 array from the build to the streamed
+    # render, not a million Python ints
+    from skabelund.cli import render
+
+    tracemalloc.start()
+    try:
+        payload, _ = cmd_semigroup(3, point, "gaps")
+        with open(os.devnull, "w", encoding="utf-8") as out:
+            render("semigroup", payload, "json", out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(payload["gaps"]) == 1_032_256
+    assert peak < 30 * 2**20
