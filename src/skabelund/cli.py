@@ -90,8 +90,8 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     if emit == "generators":
         payload["generators"] = list(gens.gens)
     elif emit == "apery":
-        blocks = curve._rational_blocks(p) if point == "rational" else curve._quartic_blocks(p)
-        payload["apery"] = np.sort(curve._by_residue(p, gens.gens[0], blocks))
+        cells = curve._rational_cells(p) if point == "rational" else curve._quartic_cells(p)
+        payload["apery"] = np.sort(curve._by_residue(p, gens.gens[0], cells))
     elif emit == "gaps":
         payload["gaps"] = semigroup._gap_array(semigroup.profile_from_generators(gens))
     else:

@@ -10,9 +10,9 @@ special classes in closed form:
 * quartic points (defined over F_{q^4} but not F_q): 3*q0 + 3 generators,
   and an Apery set {phi(i) * g0 + i} driven by the piecewise map phi.
 
-Each Apery set is written once, as a stream of int64 blocks that feeds the
-set, :func:`phi_values` and the summary statistics.  Generic points are
-handled in :mod:`skabelund.families`.
+Each Apery set is written once, as a table of cells that the summary
+statistics sum in closed form and that the set and :func:`phi_values`
+expand.  Generic points are handled in :mod:`skabelund.families`.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def rational_generators(p: CurveParams) -> GeneratorSet:
 def rational_apery(p: CurveParams) -> frozenset[int]:
     """Apery set at a rational point: all sums h*g1 + i*g2 + j*g3 + k*g4
     over the box 0<=h<=1, 0<=i<=q0-1, 0<=j<=q-2q0, 0<=k<=q0-1."""
-    return frozenset(_by_residue(p, rational_generators(p).gens[0], _rational_blocks(p)).tolist())
+    return frozenset(_by_residue(p, rational_generators(p).gens[0], _rational_cells(p)).tolist())
 
 
 def quartic_generators(p: CurveParams) -> GeneratorSet:
@@ -147,7 +147,7 @@ def phi(p: CurveParams, i: int) -> int:
 
 def quartic_apery(p: CurveParams) -> frozenset[int]:
     """Apery set at a quartic point: {phi(i)*g0 + i | 0 <= i < g0}."""
-    return frozenset(_by_residue(p, quartic_multiplicity(p), _quartic_blocks(p)).tolist())
+    return frozenset(_by_residue(p, quartic_multiplicity(p), _quartic_cells(p)).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -169,94 +169,121 @@ def pole_order_table(p: CurveParams) -> PoleOrderTable:
 
 
 # ---------------------------------------------------------------------------
-# Apery-set streams.  At s >= 4 the sets have up to tens of millions of
-# elements: the stats reduce a stream block by block, and only the sets and
-# phi_values copy it.  A stream reuses one buffer, so a block lives until the next.
+# Apery-set cell tables.  A table is one (6, n) int64 array holding, for each
+# of n cells, (e, d, w, a, b, L) with b > 0 and L > 0; row l < L of a cell is
+# the Apery element e + d*l + w*max(a - b*l, 0).  The stats sum each cell in
+# closed form; only the sets and phi_values expand the table, block by block.
 
-_ROWS = 64
+_BLOCK = 1 << 16  # elements per expanded block; small blocks keep temporaries in cache
 
 
-def _rational_blocks(p: CurveParams):
-    """The rational box in (h, i, j, k) order, one (j, k) plane per (h, i)."""
+def _rational_cells(p: CurveParams) -> np.ndarray:
+    """The rational box: cell (h, i, k) holds h*g1 + i*g2 + k*g4 + j*g3 in row j."""
     q0, q = p.q0, p.q
     _, g1, g2, g3, g4 = rational_generators(p).gens
-    plane = (np.arange(q - 2 * q0 + 1, dtype=np.int64)[:, None] * g3
-             + np.arange(q0, dtype=np.int64) * g4).ravel()
-    buf = np.empty_like(plane)
-    for h in (0, g1):
-        for i in range(q0):
-            yield np.add(plane, h + i * g2, out=buf)
+    table = np.empty((6, q), dtype=np.int64)
+    table[0] = (np.array([0, g1])[:, None, None] + np.arange(q0)[:, None] * g2
+                + np.arange(q0) * g4).ravel()
+    table[1:] = [[g3], [0], [0], [1], [q - 2 * q0 + 1]]
+    return table
 
 
-def _quartic_blocks(p: CurveParams):
-    """The quartic Apery elements phi(i)*g0 + i, _ROWS rows at a time.
+def _quartic_cells(p: CurveParams) -> np.ndarray:
+    """The quartic Apery elements phi(i)*g0 + i, in 2 x q cells.
 
-    The lower range 0 <= i <= q(q-2)/2 is rows l = 0..q/2-1 of
-    i = l*q + cell with cell = k*q0 + j, cut after the split index (cell 0
-    of the last row, where phi = l).  The upper range mirrors onto q/2
-    whole rows of g0 - 1 - i = l*q + cell.  In half h = 0, 1 the element is
-    e + (-1)^h * (g0*max(a - b*l, 0) + (g0 + q)*l), with per-cell (2, q)
-    tables a, b, e read off phi1 and phi2, evaluated in place.
+    The lower range 0 <= i <= q(q-2)/2 is rows l of i = l*q + cell with
+    cell = k*q0 + j, cut after the split index (cell 0 of row q/2 - 1, where
+    phi = l), so cells other than 0 get q/2 - 1 rows.  The upper range
+    mirrors onto q/2 whole rows of g0 - 1 - i = l*q + cell.  In half
+    h = 0, 1 the element is e + (-1)^h * (g0*max(a - b*l, 0) + (g0 + q)*l),
+    with a, b, e read off phi1 and phi2.
     """
     q0, q = p.q0, p.q
     g0 = quartic_multiplicity(p)
-    cells = np.arange(q, dtype=np.int64)
-    j = cells & (q0 - 1)
-    k = cells >> p.s
-    a = np.tile(q - q0 * ((k + 1) // 2 + j + 1), (2, 1))
-    b = np.full((2, q), q0, dtype=np.int64)
-    e = np.stack([g0 + cells, q * g0 - 1 - cells])  # c*g0 + i at l = 0; c = 1, q - 1
+    cell = np.arange(q, dtype=np.int64)
+    j = cell & (q0 - 1)
+    k = cell >> p.s
+    table = np.empty((6, 2, q), dtype=np.int64)
+    e, d, w, a, b, rows = table
+    e[:] = g0 + cell, q * g0 - 1 - cell  # c*g0 + i at l = 0; c = 1, q - 1
+    d[:] = [[g0 + q], [-g0 - q]]
+    w[:] = [[g0], [-g0]]
+    a[:] = q - q0 * ((k + 1) // 2 + j + 1)
+    b[:] = q0
+    rows[:] = q // 2
+    rows[0, 1:] -= 1
     lower_edge = (j == 0) & (k != 0)
     a[0, lower_edge] = q - q0 * (k[lower_edge] + 2)
     b[0, lower_edge] = 2 * q0
-    a[0, 0] = b[0, 0] = e[0, 0] = 0  # j = k = 0: phi = l
+    a[0, 0] = e[0, 0] = 0  # j = k = 0: phi = l
     upper_edge = j == q0 - 1
     a[1, upper_edge] = q - q0 * (k[upper_edge] + 1)
     b[1, upper_edge] = 2 * q0
-    buf = np.empty((_ROWS, q), dtype=np.int64)
-    for half, sign, count in ((0, 1, q * (q - 2) // 2 + 1), (1, -1, q * q // 2)):
-        for l0 in range(0, q // 2, _ROWS):
-            l = np.arange(l0, min(l0 + _ROWS, q // 2), dtype=np.int64)[:, None]
-            blk = buf[: l.shape[0]]
-            np.multiply(b[half], -l, out=blk)
-            blk += a[half]
-            np.maximum(blk, 0, out=blk)
-            blk *= sign * g0
-            blk += sign * (g0 + q) * l
-            blk += e[half]
-            yield blk.ravel()[: count - l0 * q]
+    return table.reshape(6, 2 * q)
 
 
-def _by_residue(p: CurveParams, m: int, blocks) -> np.ndarray:
-    """Copy a stream of Apery elements into one array indexed by residue mod m.
+def _element(cells: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Row l of every cell, e + d*l + w*max(a - b*l, 0), evaluated in one buffer."""
+    e, d, w, a, b, _ = cells
+    x = b * -l
+    x += a
+    np.maximum(x, 0, out=x)
+    x *= w
+    x += d * l
+    x += e
+    return x
 
-    A repeated residue is named at its first repeat in stream order, and
-    the stream must pass the checks of ``_stats``; either failure means a
+
+def _expand(cells: np.ndarray):
+    """The elements of a cell table, whole rows of about _BLOCK elements at a time."""
+    rows = cells[5]
+    depth = int(rows.max())
+    step = max(1, _BLOCK // rows.size)
+    for l0 in range(0, depth, step):
+        l = np.arange(l0, min(l0 + step, depth), dtype=np.int64)[:, None]
+        yield _element(cells, l)[l < rows]
+
+
+def _cell_sums(cells: np.ndarray) -> tuple[int, int, int]:
+    """(count, exact sum, largest element) of a cell table in O(cells).
+
+    In a cell, the t rows with a - b*l > 0 add w*(t*a - b*t(t-1)/2) on top
+    of the arithmetic progression e + d*l, and the piecewise-linear element
+    peaks at row 0, t - 1, t or L - 1.
+    """
+    e, d, w, a, b, rows = cells
+    t = np.clip(-(-a // b), 0, rows)
+    sums = rows * e + d * (rows * (rows - 1) // 2) + w * (t * a - b * (t * (t - 1) // 2))
+    top = max(int(_element(cells, np.clip(l, 0, rows - 1)).max()) for l in (0, rows - 1, t - 1, t))
+    return int(rows.sum()), sum(sums.tolist()), top  # the sum passes 2^63 at s = 6
+
+
+def _by_residue(p: CurveParams, m: int, cells: np.ndarray) -> np.ndarray:
+    """Expand a cell table into one array indexed by residue mod m.
+
+    A repeated residue is named at its first repeat in expansion order, and
+    the elements must pass the checks of ``_stats``; either failure means a
     transcription bug.
     """
-    vals = np.concatenate([blk.flatten() for blk in blocks])
+    vals = np.concatenate(list(_expand(cells)))
     residues = vals % m
     if np.bincount(residues, minlength=m).max() > 1:
         first = np.zeros(vals.size, dtype=bool)
         first[np.unique(residues, return_index=True)[1]] = True
         at = int(np.argmin(first))
         raise DuplicateResidue(f"residue {residues[at]} hit twice at value {vals[at]}")
-    _stats(p, m, np.array_split(vals, 64))  # 64 parts keep each int64 sum exact up to s = 6
+    total = sum(int(part.sum()) for part in np.array_split(vals, 64))  # exact up to s = 6
+    _stats(p, m, vals.size, total, int(vals.max(initial=0)))
     apery = np.empty_like(vals)
     apery[residues] = vals
     return apery
 
 
-def _stats(p: CurveParams, m: int, blocks) -> SemigroupStats:
-    """Summary statistics from a stream of the Apery elements a_r at
-    multiplicity m.  Because a_r = r (mod m), they add up to
-    m*genus + m(m-1)/2, so the genus needs no division per element.
+def _stats(p: CurveParams, m: int, count: int, total: int, top: int) -> SemigroupStats:
+    """Summary statistics from the count, sum and largest element of the
+    Apery elements a_r at multiplicity m.  Because a_r = r (mod m), they
+    add up to m*genus + m(m-1)/2, so the genus needs no division per element.
     """
-    count = total = top = 0
-    for blk in blocks:
-        count += blk.size
-        total += int(blk.sum())
-        top = max(top, int(blk.max(initial=0)))
     if count != m:
         raise SumMismatch(f"{count} Apery elements for multiplicity {m}")
     genus, rem = divmod(total - m * (m - 1) // 2, m)
@@ -278,16 +305,16 @@ def phi_values(p: CurveParams, idx: np.ndarray) -> np.ndarray:
     bad = idx[(idx < 0) | (idx >= g0)]
     if bad.size:
         raise OutOfDomain(f"phi index {bad[0]} outside 0..{g0 - 1}")
-    return _by_residue(p, g0, _quartic_blocks(p))[idx] // g0
+    return _by_residue(p, g0, _quartic_cells(p))[idx] // g0
 
 
 def rational_apery_stats(p: CurveParams) -> SemigroupStats:
-    """Summary statistics of the rational-point semigroup, read off the
-    stream of its closed-form Apery set (usable up to s = 6)."""
-    return _stats(p, rational_generators(p).gens[0], _rational_blocks(p))
+    """Summary statistics of the rational-point semigroup, summed in closed
+    form over the cells of its Apery box (usable up to s = 6)."""
+    return _stats(p, rational_generators(p).gens[0], *_cell_sums(_rational_cells(p)))
 
 
 def quartic_apery_stats(p: CurveParams) -> SemigroupStats:
-    """Summary statistics of the quartic-point semigroup, read off the
-    stream of every phi(i)*g0 + i (usable up to s = 6)."""
-    return _stats(p, quartic_multiplicity(p), _quartic_blocks(p))
+    """Summary statistics of the quartic-point semigroup, summed in closed
+    form over the cells of every phi(i)*g0 + i (usable up to s = 6)."""
+    return _stats(p, quartic_multiplicity(p), *_cell_sums(_quartic_cells(p)))

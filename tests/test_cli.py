@@ -12,6 +12,11 @@ from skabelund import GeneratorSet
 from skabelund.cli import cmd_params, cmd_semigroup, cmd_verify, main
 
 
+# pytest's pythonpath setting does not reach child interpreters
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -152,7 +157,7 @@ def test_closed_pipe_ends_quietly():
     # a reader that stops early (| head -2) gets no traceback and exit 0
     proc = subprocess.Popen(
         [sys.executable, "-m", "skabelund", "semigroup", "--s", "2", "--point", "generic",
-         "--emit", "gaps"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+         "--emit", "gaps"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_CHILD_ENV)
     head = [proc.stdout.readline() for _ in range(2)]
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -281,7 +286,7 @@ def test_out_file_matches_stdout(capsys, tmp_path):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "skabelund", "params", "--s", "1", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["genus"] == 196

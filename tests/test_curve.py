@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -220,7 +222,7 @@ def test_quartic_stats_match_brute_phi(s):
     p = make_params(s)
     g0 = quartic_multiplicity(p)
     idx = np.arange(g0, dtype=np.int64)
-    offs = phi_formula(p, idx)  # not phi_values, which reads the same stream as the stats
+    offs = phi_formula(p, idx)  # not phi_values, which expands the same cells as the stats
     stats = quartic_apery_stats(p)
     assert stats.genus == int(offs.sum())
     assert stats.conductor == 1 + int((offs * g0 + idx).max()) - g0
@@ -237,23 +239,25 @@ def test_rational_apery_names_first_duplicate(monkeypatch):
         rational_apery(make_params(1))
 
 
-def _faulty(blocks_of, fault):
-    """The stream of blocks_of with one fault: its last element raised by 1
-    or by the multiplicity m, or its first element (0) dropped."""
-    def blocks(p):
-        vals = np.concatenate([blk.flatten() for blk in blocks_of(p)])
+def _faulty(cells_of, fault):
+    """The cell table of cells_of with one fault: every row of its last cell
+    raised by 1 or by the multiplicity m, or the last row of its first cell
+    dropped."""
+    def cells(p):
+        table = cells_of(p).copy()
         if fault == "drop":
-            yield vals[1:]
+            table[5, 0] -= 1
         else:
-            vals[-1] += 1 if fault == "plus_one" else vals.size
-            yield vals
-    return blocks
+            table[0, -1] += 1 if fault == "plus_one" else table[5].sum()
+        return table
+    return cells
 
 
+# (rational, quartic) at s = 1; the last cell has 5 rational or 4 quartic rows
 _FAULT_MESSAGES = {
-    "plus_one": r"add up to \d+, not m\*genus \+ m\(m-1\)/2",
-    "plus_m": "sum of offsets is 197, genus is 196",
-    "drop": r"(39|56) Apery elements for multiplicity (40|57)",
+    "plus_one": (r"add up to \d+, not m\*genus \+ m\(m-1\)/2",) * 2,
+    "plus_m": ("sum of offsets is 201, genus is 196", "sum of offsets is 200, genus is 196"),
+    "drop": ("39 Apery elements for multiplicity 40", "56 Apery elements for multiplicity 57"),
 }
 
 
@@ -263,14 +267,57 @@ _FAULT_MESSAGES = {
 def test_faulty_stream_raises(monkeypatch, name, fault):
     import skabelund.curve as curve
 
-    stream = "_rational_blocks" if name.startswith("rational") else "_quartic_blocks"
-    monkeypatch.setattr(curve, stream, _faulty(getattr(curve, stream), fault))
-    error, message = SumMismatch, _FAULT_MESSAGES[fault]
+    rational = name.startswith("rational")
+    table = "_rational_cells" if rational else "_quartic_cells"
+    monkeypatch.setattr(curve, table, _faulty(getattr(curve, table), fault))
+    error, message = SumMismatch, _FAULT_MESSAGES[fault][not rational]
     if fault == "plus_one" and not name.endswith("_stats"):
-        # the raised element shares its new residue with another element
+        # the raised elements share their new residues with other elements
         error, message = DuplicateResidue, "hit twice"
     with pytest.raises(error, match=message):
         getattr(curve, name)(make_params(1))
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_cell_sums_match_expanded_stream(s):
+    # the stats never expand a table, so check their closed form element by element
+    import skabelund.curve as curve
+
+    p = make_params(s)
+    for cells in (curve._rational_cells(p), curve._quartic_cells(p)):
+        count = total = top = 0
+        for blk in curve._expand(cells):
+            count += blk.size
+            total += int(blk.sum())
+            top = max(top, int(blk.max()))
+        assert curve._cell_sums(cells) == (count, total, top)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_cell_sums_match_each_cell(s):
+    # a quartic upper-range cell peaks at its kink a - b*l = 0, which the
+    # maximum over a whole set may not show
+    import skabelund.curve as curve
+
+    p = make_params(s)
+    for cells in (curve._rational_cells(p), curve._quartic_cells(p)):
+        for c in range(cells.shape[1]):
+            cell = cells[:, c:c + 1]
+            vals = np.concatenate(list(curve._expand(cell)))
+            assert curve._cell_sums(cell) == (vals.size, int(vals.sum()), int(vals.max()))
+
+
+@pytest.mark.parametrize("stats_of", [rational_apery_stats, quartic_apery_stats])
+def test_special_stats_memory_at_s6(stats_of):
+    # O(q) cells, not blocks of the 67M-element Apery set
+    tracemalloc.start()
+    try:
+        stats = stats_of(make_params(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.symmetric
+    assert peak < 3 * 2**20
 
 
 def test_chunked_stats_large_sizes():
