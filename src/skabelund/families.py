@@ -11,6 +11,10 @@ and the exponents range over a family-specific constraint block.  Where a
 family fixes sigma, the exponent f is treated as the dependent variable
 and tuples that would force f < 0 are skipped.
 
+Each family is a table of arithmetic progressions (:func:`_family_rows`)
+whose rows share one step, q^2 for F1 and q - q^2 for F2..F6;
+:func:`gap_mask` marks the gaps a row at a time on those two lattices.
+
 Every gap value v admits a witness: an exponent vector for a monomial in
 the building-block functions (see :func:`skabelund.curve.pole_order_table`)
 whose vanishing order at the point is v - 1 and whose total pole order at
@@ -96,6 +100,8 @@ class GapRecord:
 # get one row per outer tuple, with a4 = 0, 1, ..., min(a4cap, sigma - s3)
 # and f = sigma - s3 - a4.  Rows and the values along them come in the
 # lexicographic order of the loop variables, so output is deterministic.
+# gap_mask marks, range-checks and counts a row from its two ends and its
+# length; the records, the witness table and error messages expand it.
 
 _COLUMNS = ("a1", "a2", "a3", "a4", "f", "n", "c", "d")
 
@@ -223,31 +229,57 @@ def enumerate_family(p: CurveParams, fid: FamilyId) -> list[GapRecord]:
 
 def iter_family_values(p: CurveParams, fid: FamilyId) -> Iterator[int]:
     """Yield the values of one family in loop order, without records."""
-    yield from _family_values(p, fid).tolist()
+    yield from _expand(_family_rows(p, fid))[0].tolist()
 
 
-def _family_values(p: CurveParams, fid: FamilyId) -> np.ndarray:
-    return _expand(_family_rows(p, fid))[0]
+def _cover(lo: np.ndarray, hi: np.ndarray, step: int, limit: int) -> np.ndarray:
+    """How many rows lo..hi on the lattice of ``step`` hold each value in
+    [0, limit), modulo 256.  Cell (k, c) of the lattice holds c + k*step, so
+    its flat index is its value.  The difference array gets +1 at each lo
+    and -1 one step past each hi, summed per cell so that rows sharing an
+    end both count, and row-adds down the columns turn it into the cover.
+    The cells are counted after an argsort, the sort ``witness_table`` runs
+    too, so that the witness dump loads no second sort kernel."""
+    diff = np.zeros(((limit - 1) // step + 2, step), dtype=np.int8)
+    flat = diff.reshape(-1)
+    for cells, sign in ((lo, 1), (hi + step, -1)):
+        cells = cells[np.argsort(cells)]
+        first = np.flatnonzero(np.diff(cells, prepend=-1))
+        n = np.diff(first, append=len(cells))
+        flat[cells[first]] += (sign * n).astype(np.int8)
+    for k in range(1, len(diff)):
+        diff[k] += diff[k - 1]
+    return flat[:limit]
 
 
 def gap_mask(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
-    """Mark the six families, one at a time, in a bool array over [0, 2g),
-    and count each.  Raises RuntimeError on a value outside [1, 2g), and
-    DuplicateGap naming the first value, in enumeration order, produced
-    twice; the families are disjoint iff the marks number as many as their
-    values, so only then are they expanded again, all together, to find it."""
+    """Mark the six families in a bool array over [0, 2g) and count each,
+    row by row: a family's rows share one |step|, and the marks are the
+    values that the rows of both lattices (:func:`_cover`) cover once.
+    Raises RuntimeError naming the first value outside [1, 2g) of the first
+    family with a row end outside, and DuplicateGap naming the first value,
+    in enumeration order, produced twice; the families are disjoint iff the
+    marks number as many as their values, so only then are they expanded
+    to find it."""
     limit = 2 * p.genus
-    marked = np.zeros(limit, dtype=bool)
-    counts = {}
-    for fid in FamilyId:
-        values = _family_values(p, fid)
-        outside = (values < 1) | (values >= limit)
-        if outside.any():
+    rows = {fid: _family_rows(p, fid) for fid in FamilyId}
+    lattices = {}
+    for r in rows.values():
+        last = r.value + (r.length - 1) * r.step
+        lo, hi = np.minimum(r.value, last), np.maximum(r.value, last)
+        if (lo < 1).any() or (hi >= limit).any():
+            values = _expand(r)[0]
+            outside = (values < 1) | (values >= limit)
             raise RuntimeError(f"gap value {values[outside][0]} outside [1, {limit})")
-        marked[values] = True
-        counts[fid] = len(values)
+        lattices.setdefault(abs(r.step), []).append((lo, hi))
+    cover = np.zeros(limit, dtype=np.int8)
+    for step, ends in lattices.items():
+        lo, hi = (np.concatenate(e) for e in zip(*ends))
+        cover += _cover(lo, hi, step, limit)
+    marked = cover == 1  # a value covered c > 1 times adds c to the counts, 1 mark at most
+    counts = {fid: int(r.length.sum()) for fid, r in rows.items()}
     if np.count_nonzero(marked) != sum(counts.values()):
-        every = np.concatenate([_family_values(p, fid) for fid in FamilyId])
+        every = np.concatenate([_expand(r)[0] for r in rows.values()])
         repeat = np.ones(len(every), dtype=bool)
         repeat[np.unique(every, return_index=True)[1]] = False
         raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")

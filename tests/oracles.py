@@ -6,7 +6,9 @@ generator g), with no shortest-path machinery involved, so it can sit on
 the other side of every equality the Apery engine is asserted against.
 The family value and the per-record witness seed restate, one record at a
 time in plain Python, the paper's displayed family expressions and the seed
-rule that ``skabelund.families`` applies to whole columns.  The phi formula
+rule that ``skabelund.families`` applies to whole columns.  The scatter
+mask marks the generic gaps value by value, where ``families.gap_mask``
+marks whole progression rows.  The phi formula
 restates the paper's piecewise offset map over whole index arrays, with
 none of the per-cell tables that ``skabelund.curve`` streams its Apery sets from.
 """
@@ -18,7 +20,8 @@ import random
 
 import numpy as np
 
-from skabelund import FamilyId, GapRecord, WitnessVector
+from skabelund import DuplicateGap, FamilyId, GapRecord, WitnessVector
+from skabelund import families
 
 
 def sieve_members(gens: list[int], limit: int) -> bytearray:
@@ -134,6 +137,31 @@ def family_value(p, fid: FamilyId, fp) -> int:
     if fid is FamilyId.F5:
         return nu + fp.c * q0 * (q + 1) + fp.d * (2 * q * q0 + 2 * q0 + 1) + 1
     return nu + q0 + (2 * n + 2) * q0 * q + n + 2
+
+
+def scatter_gap_mask(p) -> tuple[np.ndarray, dict[FamilyId, int]]:
+    """Expand each family's rows into values and scatter them one by one
+    into a bool array over [0, 2g), with the errors of ``gap_mask``: the
+    first value outside [1, 2g) in the first family holding one, then the
+    first value produced twice in enumeration order."""
+    limit = 2 * p.genus
+    marked = np.zeros(limit, dtype=bool)
+    counts = {}
+    every = []
+    for fid in FamilyId:
+        values = families._expand(families._family_rows(p, fid))[0]
+        outside = (values < 1) | (values >= limit)
+        if outside.any():
+            raise RuntimeError(f"gap value {values[outside][0]} outside [1, {limit})")
+        marked[values] = True
+        counts[fid] = len(values)
+        every.append(values)
+    if np.count_nonzero(marked) != sum(counts.values()):
+        every = np.concatenate(every)
+        repeat = np.ones(len(every), dtype=bool)
+        repeat[np.unique(every, return_index=True)[1]] = False
+        raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")
+    return marked, counts
 
 
 def phi_formula(p, idx: np.ndarray) -> np.ndarray:

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +28,7 @@ from skabelund import (
     profile_from_generators,
 )
 import skabelund.families as fam
-from oracles import family_value, nu_of
+from oracles import family_value, nu_of, scatter_gap_mask
 
 TABLE1_COUNTS = {
     1: (146, 31, 8, 0, 9, 2),
@@ -132,33 +136,100 @@ def test_enumerate_values_matches_enumerate_all(s, request):
 
 def test_gap_bitset_guards(p1, monkeypatch):
     limit = 2 * p1.genus
+    real = fam._family_rows
 
     def families_hold(table):
-        monkeypatch.setattr(fam, "_family_values",
-                            lambda p, fid: np.array(table.get(fid, []), dtype=np.int64))
+        # each family becomes the rows (first value, length) on its own step
+        def rows(p, fid):
+            first, length = np.array(table.get(fid, []), dtype=np.int64).reshape(-1, 2).T
+            start = np.zeros((8, len(first)), dtype=np.int64)
+            return dataclasses.replace(real(p, fid), start=start, length=length, value=first)
+        monkeypatch.setattr(fam, "_family_rows", rows)
 
-    families_hold({FamilyId.F1: [5], FamilyId.F2: [7]})
+    families_hold({FamilyId.F1: [(5, 1)], FamilyId.F2: [(7, 1)]})
     marked, counts = fam.gap_mask(p1)
     assert np.flatnonzero(marked).tolist() == [5, 7]
     assert counts == {fid: int(fid in (FamilyId.F1, FamilyId.F2)) for fid in FamilyId}
-    families_hold({FamilyId.F1: [5, 6], FamilyId.F2: [7, 5]})
+    families_hold({FamilyId.F1: [(5, 2)], FamilyId.F2: [(7, 1), (5, 1)]})  # 5, 69; 7, 5
     with pytest.raises(DuplicateGap, match="^value 5 produced twice$"):
         fam.gap_mask(p1)
-    families_hold({FamilyId.F3: [0]})
-    with pytest.raises(RuntimeError):
+    # two F2 rows down one column that share their top end, 117 = 5 + 2*56:
+    # the difference array must count both, or the cover 1 left past their
+    # end would fill out the column to exactly the five values they hold
+    families_hold({FamilyId.F2: [(117, 3), (117, 2)]})
+    with pytest.raises(DuplicateGap, match="^value 117 produced twice$"):
         fam.gap_mask(p1)
-    families_hold({FamilyId.F6: [limit]})
-    with pytest.raises(RuntimeError):
+    families_hold({FamilyId.F3: [(0, 1)]})
+    with pytest.raises(RuntimeError, match=rf"^gap value 0 outside \[1, {limit}\)$"):
+        fam.gap_mask(p1)
+    families_hold({FamilyId.F6: [(limit, 1)]})
+    with pytest.raises(RuntimeError, match=rf"^gap value {limit} outside \[1, {limit}\)$"):
         fam.gap_mask(p1)
     with pytest.raises(UnsupportedS):
         generic_semigroup(make_params(4))
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_gap_mask_matches_scatter_oracle(s, request):
+    p = request.getfixturevalue(f"p{s}")
+    marked, counts = fam.gap_mask(p)
+    expected, expected_counts = scatter_gap_mask(p)
+    assert np.array_equal(marked, expected)
+    assert counts == expected_counts
+
+
+def _lengthen_f1(rows):
+    # F1 row 8 at s = 2, one value longer: its next value is another gap
+    length = rows.length.copy()
+    length[8] += 1
+    return dataclasses.replace(rows, length=length)
+
+
+def _shift_f3(rows):
+    # F3 row 0 moved one step along its own lattice column: its last value
+    # lands on the neighbouring row of that column
+    value = rows.value.copy()
+    value[0] += rows.step
+    return dataclasses.replace(rows, value=value)
+
+
+def _overrun_f5(rows):
+    # F5 row 0 starts in range, but runs down its column past 0
+    length = rows.length.copy()
+    length[0] = rows.value[0] // -rows.step + 2
+    return dataclasses.replace(rows, length=length)
+
+
+@pytest.mark.parametrize("fid, mutate, error", [
+    (FamilyId.F1, _lengthen_f1, DuplicateGap),
+    (FamilyId.F3, _shift_f3, DuplicateGap),
+    (FamilyId.F5, _overrun_f5, RuntimeError),
+])
+def test_gap_mask_mutations_match_scatter_oracle(fid, mutate, error, p2, monkeypatch):
+    real = fam._family_rows
+    monkeypatch.setattr(fam, "_family_rows",
+                        lambda p, f: mutate(real(p, f)) if f is fid else real(p, f))
+    with pytest.raises(error) as expected:
+        scatter_gap_mask(p2)
+    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+        fam.gap_mask(p2)
+
+
+def test_gap_mask_peak_memory(p3):
+    # the marks live on two int8 lattices over [0, 2g), 2 MiB each at
+    # s = 3, never in the million expanded int64 values of the oracle
+    tracemalloc.start()
+    try:
+        fam.gap_mask(p3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_duplicated_row_names_first_repeat(p2, monkeypatch):
     # one F2 progression row listed twice in a row: the first repeated
     # value, in enumeration order, is where the copy starts
-    import dataclasses
-
     real = fam._family_rows
     row = 5
 
