@@ -44,19 +44,14 @@ from .families import (
     FamilyParams,
     GapRecord,
     GenericSemigroup,
+    WitnessTable,
     WitnessVector,
-    binom_sum_check,
-    count_family,
     enumerate_all,
-    enumerate_family,
     enumerate_values,
     family_count_closed_form,
     gap_witness,
     generic_semigroup,
-    iter_family_records,
-    iter_family_values,
-    witness_pole_cost,
-    witness_valuation,
+    witness_table,
 )
 from .semigroup import (
     GapSet,
@@ -83,12 +78,10 @@ __all__ = [
     "NonCoprime", "NonIntegerResult", "NotClosed", "OutOfDomain", "Overflow",
     "SkabelundError", "SumMismatch", "TableMismatch",
     "UnsupportedCombination", "UnsupportedS",
-    "FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup", "WitnessVector",
-    "binom_sum_check", "count_family", "enumerate_all", "enumerate_family",
-    "enumerate_values", "family_count_closed_form",
-    "gap_witness", "generic_semigroup", "iter_family_records",
-    "iter_family_values",
-    "witness_pole_cost", "witness_valuation",
+    "FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup",
+    "WitnessTable", "WitnessVector", "enumerate_all", "enumerate_values",
+    "family_count_closed_form", "gap_witness", "generic_semigroup",
+    "witness_table",
     "GapSet", "GeneratorSet", "SemigroupProfile", "SemigroupStats",
     "contains", "gaps_of", "is_symmetric", "minimal_generators",
     "normalize_generators", "profile_from_generators",

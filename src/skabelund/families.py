@@ -20,17 +20,16 @@ the building-block functions (see :func:`skabelund.curve.pole_order_table`)
 whose vanishing order at the point is v - 1 and whose total pole order at
 infinity stays within 2g - 2.  Witnesses certify the value is a gap.  Each
 family reads its witness seed off its parameters by one rule
-(:func:`_seeds`), applied to whole columns: :func:`witness_table` holds
-every gap with its parameters and seed as int64 columns in value order, and
-checks all of them with one matrix product against the building blocks.
+(:func:`_seeds`), applied to whole columns.  :func:`witness_table` is the
+record interface: it holds every gap with its family, parameters and seed
+as int64 columns in value order, and checks all of them with one matrix
+product against the building blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .errors import (
     NonIntegerResult,
     NotClosed,
     NoWitness,
-    Overflow,
     UnsupportedS,
 )
 from .semigroup import GapSet, SemigroupProfile, minimal_generators
@@ -101,7 +99,7 @@ class GapRecord:
 # and f = sigma - s3 - a4.  Rows and the values along them come in the
 # lexicographic order of the loop variables, so output is deterministic.
 # gap_mask marks, range-checks and counts a row from its two ends and its
-# length; the records, the witness table and error messages expand it.
+# length; only the witness table and error messages expand it.
 
 _COLUMNS = ("a1", "a2", "a3", "a4", "f", "n", "c", "d")
 
@@ -215,23 +213,6 @@ def _family_params(p: CurveParams, fid: FamilyId) -> tuple[np.ndarray, np.ndarra
     return values, np.vstack((cols, sigma, nu))
 
 
-def iter_family_records(p: CurveParams, fid: FamilyId) -> Iterator[GapRecord]:
-    """Yield the records of one family in loop order."""
-    values, params = _family_params(p, fid)
-    for v, fields in zip(values.tolist(), params.T.tolist()):
-        yield GapRecord(v, fid, FamilyParams(*fields))
-
-
-def enumerate_family(p: CurveParams, fid: FamilyId) -> list[GapRecord]:
-    """All records of one family, sorted by value."""
-    return sorted(iter_family_records(p, fid), key=lambda r: r.value)
-
-
-def iter_family_values(p: CurveParams, fid: FamilyId) -> Iterator[int]:
-    """Yield the values of one family in loop order, without records."""
-    yield from _expand(_family_rows(p, fid))[0].tolist()
-
-
 def _cover(lo: np.ndarray, hi: np.ndarray, step: int, limit: int) -> np.ndarray:
     """How many rows lo..hi on the lattice of ``step`` hold each value in
     [0, limit), modulo 256.  Cell (k, c) of the lattice holds c + k*step, so
@@ -303,15 +284,6 @@ def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
     return GapSet(tuple(cols[0].tolist()), 2 * p.genus), records
 
 
-def count_family(p: CurveParams, fid: FamilyId) -> int:
-    """Family cardinality: the summed lengths of its rows.
-
-    Counts without expanding the rows, so this stays fast even where full
-    enumeration is impractical.
-    """
-    return int(_family_rows(p, fid).length.sum())
-
-
 def family_count_closed_form(p: CurveParams, fid: FamilyId) -> int:
     """Closed-form family cardinality as a polynomial in q and q0.
 
@@ -337,15 +309,6 @@ def _div24(numerator: int) -> int:
     if numerator % 24:
         raise NonIntegerResult(f"24 does not divide {numerator}")
     return numerator // 24
-
-
-def binom_sum_check(n: int) -> bool:
-    """Exact check of sum_{s=0}^{n} C(s+4, 4) == C(n+5, 5)."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    if n > 10_000:
-        raise Overflow("binomial sum check capped at n = 10^4")
-    return sum(comb(sig + 4, 4) for sig in range(n + 1)) == comb(n + 5, 5)
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,9 +357,9 @@ def generic_semigroup(p: CurveParams) -> GenericSemigroup:
 class WitnessVector:
     """Exponents of a gap-witness monomial.
 
-    ``b[n-1]`` is the exponent of h_n (n = 1..2q0-2) and ``e[n]`` the
-    exponent of g_n (n = 0..q0-2); the scalar fields follow the building
-    blocks x, y, z, w, f1, f2, pi in that order.
+    Field by field: ``a1``, ``a2``, ``a3``, ``a4`` are the exponents of x,
+    y, z, w; ``f`` of pi; ``b[n-1]`` of h_n (n = 1..2q0-2); ``c`` of f1;
+    ``d`` of f2; ``e[n]`` of g_n (n = 0..q0-2).
     """
 
     a1: int
@@ -410,25 +373,11 @@ class WitnessVector:
     e: tuple[int, ...]
 
 
-def _vector(w: WitnessVector) -> list[int]:
-    return [w.a1, w.a2, w.a3, w.a4, w.f, *w.b, w.c, w.d, *w.e]
-
-
 def _axes(p: CurveParams) -> np.ndarray:
     """Vanishing order (row 0) and pole order (row 1) of each building block,
     in seed order: x, y, z, w, pi, h_1.., f1, f2, g_0.."""
     t = pole_order_table(p)
     return np.array([t.x, t.y, t.z, t.w, t.pi, *t.h, t.f1, t.f2, *t.g], dtype=np.int64).T
-
-
-def witness_valuation(p: CurveParams, w: WitnessVector) -> int:
-    """Vanishing order at the point of the witness monomial."""
-    return int(_axes(p)[0] @ _vector(w))
-
-
-def witness_pole_cost(p: CurveParams, w: WitnessVector) -> int:
-    """Pole order at infinity of the witness monomial (upper bound)."""
-    return int(_axes(p)[1] @ _vector(w))
 
 
 def _seeds(p: CurveParams, fid: FamilyId, params: np.ndarray) -> np.ndarray:

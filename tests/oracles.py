@@ -6,7 +6,8 @@ generator g), with no shortest-path machinery involved, so it can sit on
 the other side of every equality the Apery engine is asserted against.
 The family value and the per-record witness seed restate, one record at a
 time in plain Python, the paper's displayed family expressions and the seed
-rule that ``skabelund.families`` applies to whole columns.  The scatter
+rule that ``skabelund.families`` applies to whole columns, and the witness
+cost reads each exponent against its building block by name.  The scatter
 mask marks the generic gaps value by value, where ``families.gap_mask``
 marks whole progression rows.  The phi formula
 restates the paper's piecewise offset map over whole index arrays, with
@@ -20,7 +21,7 @@ import random
 
 import numpy as np
 
-from skabelund import DuplicateGap, FamilyId, GapRecord, WitnessVector
+from skabelund import DuplicateGap, FamilyId, GapRecord, WitnessVector, pole_order_table
 from skabelund import families
 
 
@@ -113,6 +114,24 @@ def family_seed(p, record: GapRecord) -> WitnessVector:
         c = 1
         e[fp.n] += 1
     return WitnessVector(fp.a1, fp.a2, fp.a3, fp.a4, fp.f, tuple(b), c, d, tuple(e))
+
+
+def witness_fields(w: WitnessVector) -> list[int]:
+    """The exponents of a witness in field order (a1, a2, a3, a4, f, b, c,
+    d, e), the row order of the seed in ``families.witness_table``."""
+    return [w.a1, w.a2, w.a3, w.a4, w.f, *w.b, w.c, w.d, *w.e]
+
+
+def witness_cost(p, w: WitnessVector) -> tuple[int, int]:
+    """(vanishing order at the point, pole order at infinity) of a witness
+    monomial: a1..a4 raise x, y, z, w, f raises pi, b raises h, c raises
+    f1, d raises f2 and e raises g, each read from ``pole_order_table``."""
+    t = pole_order_table(p)
+    terms = [(t.x, w.a1), (t.y, w.a2), (t.z, w.a3), (t.w, w.a4), (t.pi, w.f),
+             *zip(t.h, w.b, strict=True), (t.f1, w.c), (t.f2, w.d),
+             *zip(t.g, w.e, strict=True)]
+    return (sum(block[0] * k for block, k in terms),
+            sum(block[1] * k for block, k in terms))
 
 
 def nu_of(p, fp) -> int:

@@ -27,12 +27,10 @@ from skabelund import (
     rational_apery,
     rational_generators,
     verify_cofinite_complement,
-    witness_pole_cost,
-    witness_valuation,
 )
 from skabelund.semigroup import contains
 
-from oracles import random_generator_list, sieve_gaps, sieve_window
+from oracles import random_generator_list, sieve_gaps, sieve_window, witness_cost
 
 GENUS_BY_S = {1: 196, 2: 15376, 3: 1032256}
 TABLE1_COUNTS = {1: (146, 31, 8, 0, 9, 2), 2: (12584, 2393, 192, 96, 87, 24)}
@@ -191,9 +189,9 @@ def test_c09_witness_existence():
         p = make_params(s)
         _, records = enumerate_all(p)
         for rec in records:
-            w = gap_witness(p, rec)
-            ok &= witness_valuation(p, w) == rec.value - 1
-            ok &= witness_pole_cost(p, w) <= p.two_g_minus_2
+            valuation, pole = witness_cost(p, gap_witness(p, rec))
+            ok &= valuation == rec.value - 1
+            ok &= pole <= p.two_g_minus_2
             checked += 1
     elapsed = time.perf_counter() - start
     ok &= checked == 196 + 15376 and elapsed < 60.0

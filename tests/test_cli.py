@@ -324,10 +324,11 @@ def _corrupt_first_f4_seed(monkeypatch) -> int:
     """Add 1 to a1 in the columnar seed of the smallest F4 gap at s = 2;
     return that gap's value."""
     import skabelund.families as fam
-    from skabelund import FamilyId, enumerate_family, make_params
+    from skabelund import FamilyId, make_params, witness_table
 
-    target = enumerate_family(make_params(2), FamilyId.F4)[0]
-    wanted = [[getattr(target.params, k)] for k in fam._COLUMNS]
+    columns = witness_table(make_params(2)).columns
+    target = columns[:, columns[1] == FamilyId.F4.value][:, 0]
+    wanted = target[2:10, None]  # the FamilyParams fields in _COLUMNS order
     real = fam._seeds
 
     def corrupted(p, fid, params):
@@ -337,7 +338,7 @@ def _corrupt_first_f4_seed(monkeypatch) -> int:
         return seed
 
     monkeypatch.setattr(fam, "_seeds", corrupted)
-    return target.value
+    return int(target[0])
 
 
 def test_bad_witness_seed_fails_verify(capsys, monkeypatch):

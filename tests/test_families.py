@@ -12,12 +12,8 @@ from skabelund import (
     FamilyParams,
     NonIntegerResult,
     NotClosed,
-    Overflow,
     UnsupportedS,
-    binom_sum_check,
     contains,
-    count_family,
-    enumerate_family,
     enumerate_values,
     family_count_closed_form,
     gaps_of,
@@ -58,7 +54,7 @@ def test_counts_three_ways(p1, p2, p3):
         _, counts = enumerate_values(p)
         for fid in FamilyId:
             closed = family_count_closed_form(p, fid)
-            collapsed = count_family(p, fid)
+            collapsed = int(fam._family_rows(p, fid).length.sum())
             assert counts[fid] == collapsed == closed
         assert sum(counts.values()) == p.genus
 
@@ -67,17 +63,10 @@ def test_counts_only_at_size_four():
     # full enumeration is impractical here; the collapsed counter still
     # matches the closed forms
     p = make_params(4)
+    counts = {fid: int(fam._family_rows(p, fid).length.sum()) for fid in FamilyId}
     for fid in FamilyId:
-        assert count_family(p, fid) == family_count_closed_form(p, fid)
-    assert sum(count_family(p, fid) for fid in FamilyId) == p.genus
-
-
-def test_iter_family_values_matches_records(p1):
-    from skabelund import iter_family_records, iter_family_values
-
-    for fid in FamilyId:
-        values = list(iter_family_values(p1, fid))
-        assert values == [r.value for r in iter_family_records(p1, fid)]
+        assert counts[fid] == family_count_closed_form(p, fid)
+    assert sum(counts.values()) == p.genus
 
 
 def test_reference_counts(p1, p2):
@@ -99,17 +88,21 @@ def test_closed_form_divisibility_guard():
         family_count_closed_form(fake, FamilyId.F1)
 
 
-def test_family_f4_empty_at_size_one(p1):
-    assert enumerate_family(p1, FamilyId.F4) == []
+def family(records, fid):
+    return [r for r in records[1] if r.family is fid]
 
 
-def test_family_f6_two_records(p1):
-    recs = enumerate_family(p1, FamilyId.F6)
+def test_family_f4_empty_at_size_one(records_s1):
+    assert family(records_s1, FamilyId.F4) == []
+
+
+def test_family_f6_two_records(records_s1):
+    recs = family(records_s1, FamilyId.F6)
     assert [r.value for r in recs] == [108, 164]
 
 
-def test_family_f1_contains_one(p1):
-    first = enumerate_family(p1, FamilyId.F1)[0]
+def test_family_f1_contains_one(records_s1):
+    first = family(records_s1, FamilyId.F1)[0]
     assert first.value == 1
     fp = first.params
     assert (fp.a1, fp.a2, fp.a3, fp.a4, fp.f, fp.sigma, fp.nu) == (0,) * 7
@@ -248,24 +241,6 @@ def test_duplicated_row_names_first_repeat(p2, monkeypatch):
             enumerate_(p2)
 
 
-def test_binom_sum_check():
-    assert binom_sum_check(0)
-    assert binom_sum_check(1)  # 1 + 5 == C(6,5)
-    assert binom_sum_check(100)
-    with pytest.raises(ValueError):
-        binom_sum_check(-1)
-    with pytest.raises(Overflow):
-        binom_sum_check(10_001)
-
-
-def test_binom_polynomial_expansion():
-    # expanded form of C(n+5,5): (n^5 + 15n^4 + 85n^3 + 225n^2 + 274n)/120 + 1
-    from math import comb
-
-    for n in (0, 1, 2, 7, 50):
-        assert comb(n + 5, 5) == n * (n**4 + 15 * n**3 + 85 * n**2 + 225 * n + 274) // 120 + 1
-
-
 def test_generic_semigroup_size_one(p1):
     prof = generic_semigroup(p1).profile
     assert prof.genus == 196
@@ -288,15 +263,14 @@ def test_generic_profile_gaps_round_trip(p1, p2):
         assert gaps_of(prof).bound == prof.conductor
 
 
-def test_enumerate_family_sorted_partition(p1, records_s1):
-    _, records = records_s1
+def test_family_records_sorted_partition(p1, records_s1):
+    # each family's records, in value order, are its progression rows sorted
     seen = []
     for fid in FamilyId:
-        fam = enumerate_family(p1, fid)
-        values = [r.value for r in fam]
-        assert values == sorted(values)
+        values = [r.value for r in family(records_s1, fid)]
+        assert values == sorted(fam._expand(fam._family_rows(p1, fid))[0].tolist())
         seen.extend(values)
-    assert sorted(seen) == [r.value for r in records]
+    assert sorted(seen) == [r.value for r in records_s1[1]]
 
 
 def test_generic_minimal_generators_regenerate(p1, p2, p3):

@@ -4,40 +4,42 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import family_seed
+from oracles import family_seed, witness_cost, witness_fields
 from skabelund import (
     FamilyId,
     FamilyParams,
     GapRecord,
     NoWitness,
-    enumerate_family,
     gap_witness,
     pole_order_table,
-    witness_pole_cost,
-    witness_valuation,
+    witness_table,
 )
-from skabelund.families import _vector, witness_table
 
 
 def checked(p, record):
     w = gap_witness(p, record)
-    assert witness_valuation(p, w) == record.value - 1
-    assert witness_pole_cost(p, w) <= p.two_g_minus_2
+    valuation, pole = witness_cost(p, w)
+    assert valuation == record.value - 1
+    assert pole <= p.two_g_minus_2
     return w
 
 
-def test_monomial_witness_for_value_two(p1):
-    rec = next(r for r in enumerate_family(p1, FamilyId.F1) if r.value == 2)
+def family(records, fid):
+    return [r for r in records[1] if r.family is fid]
+
+
+def test_monomial_witness_for_value_two(p1, records_s1):
+    rec = next(r for r in family(records_s1, FamilyId.F1) if r.value == 2)
     w = checked(p1, rec)
     assert (w.a1, w.a2, w.a3, w.a4, w.f, w.c, w.d) == (1, 0, 0, 0, 0, 0, 0)
     assert not any(w.b) and not any(w.e)
-    assert witness_pole_cost(p1, w) == 40  # one factor of the degree-q block
+    assert witness_cost(p1, w)[1] == 40  # one factor of the degree-q block
 
 
-def test_f2_seed_uses_matching_block(p1):
+def test_f2_seed_uses_matching_block(p1, records_s1):
     table = pole_order_table(p1)
     rec = next(
-        r for r in enumerate_family(p1, FamilyId.F2)
+        r for r in family(records_s1, FamilyId.F2)
         if r.params.n == 1 and (r.params.a1, r.params.a2, r.params.a3, r.params.a4) == (0, 0, 0, 0)
     )
     w = checked(p1, rec)
@@ -46,10 +48,16 @@ def test_f2_seed_uses_matching_block(p1):
     assert w.f == rec.params.f
 
 
-def test_f5_seed_copies_c_d(p1):
-    for rec in enumerate_family(p1, FamilyId.F5):
+def test_f5_seed_copies_c_d(p1, records_s1):
+    for rec in family(records_s1, FamilyId.F5):
         w = checked(p1, rec)
         assert (w.c, w.d) == (rec.params.c, rec.params.d)
+    # c is the exponent of f1: at c = 1, d = 0 the valuation is nu plus
+    # f1's valuation q0*q + q0
+    rec = next(r for r in family(records_s1, FamilyId.F5) if (r.params.c, r.params.d) == (1, 0))
+    f1 = p1.q0 * p1.q + p1.q0
+    assert pole_order_table(p1).f1[0] == f1
+    assert witness_cost(p1, checked(p1, rec))[0] == rec.params.nu + f1
 
 
 def test_all_witnesses_size_one(p1, records_s1):
@@ -58,18 +66,18 @@ def test_all_witnesses_size_one(p1, records_s1):
         checked(p1, rec)
 
 
-def test_f4_paired_block_seed(p2):
+def test_f4_paired_block_seed(p2, records_s2):
     # the F4 offset is supplied by two g-block factors with indices
     # summing to the family index
-    records = enumerate_family(p2, FamilyId.F4)
+    records = family(records_s2, FamilyId.F4)
     assert len(records) == 96
     for rec in records:
         w = checked(p2, rec)
         assert w.e[0] >= 1 and sum(w.e) == 2
 
 
-def test_f6_product_seed(p1):
-    for rec in enumerate_family(p1, FamilyId.F6):
+def test_f6_product_seed(p1, records_s1):
+    for rec in family(records_s1, FamilyId.F6):
         w = checked(p1, rec)
         assert w.c == 1 and w.e[rec.params.n] == 1
 
@@ -90,16 +98,16 @@ def test_seeds_match_oracle(s, request):
     assert table.valid.all()
     assert table.columns[0].tolist() == [r.value for r in records]
     assert table.columns[1].tolist() == [r.family.value for r in records]
-    expected = [_vector(family_seed(p, r)) for r in records]
+    expected = [witness_fields(family_seed(p, r)) for r in records]
     assert table.columns[12:].T.tolist() == expected
-    assert [_vector(gap_witness(p, r)) for r in records] == expected
+    assert [witness_fields(gap_witness(p, r)) for r in records] == expected
 
 
 def test_pole_bound_is_inclusive(p2, records_s2):
     # a budget equal to the largest seed pole cost passes every gap; one less
     # fails exactly the gaps at that cost, in the table and in gap_witness
     _, records = records_s2
-    poles = [witness_pole_cost(p2, gap_witness(p2, r)) for r in records]
+    poles = [witness_cost(p2, gap_witness(p2, r))[1] for r in records]
     top = max(poles)
     assert witness_table(dataclasses.replace(p2, two_g_minus_2=top)).valid.all()
     tight = dataclasses.replace(p2, two_g_minus_2=top - 1)
