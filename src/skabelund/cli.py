@@ -35,7 +35,7 @@ TABLE1 = {
 
 _POINTS = ("rational", "quartic", "generic")
 _EMITS = ("generators", "apery", "gaps", "stats")
-_BLOCK = 65536  # series items rendered per piece
+_BLOCK = 16384  # series items rendered per piece
 _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # the least values of 2..19 digits
 _TABLE1_COLUMNS = ("s", "F1", "F2", "F3", "F4", "F5", "F6", "F", "g")
 _NO_WITNESS_CSV = "--witnesses payloads have no CSV form"
@@ -43,10 +43,10 @@ _NO_WITNESS_CSV = "--witnesses payloads have no CSV form"
 # Largest s per (emit, point class); payloads above these are either too
 # large to serialise or too slow to build on purpose.
 _CAPS = {
-    "generators": {"rational": 6, "quartic": 6, "generic": 3},
-    "apery": {"rational": 4, "quartic": 4, "generic": 3},
+    "generators": {"rational": 6, "quartic": 6, "generic": 4},
+    "apery": {"rational": 4, "quartic": 4, "generic": 4},
     "gaps": {"rational": 3, "quartic": 3, "generic": 3},
-    "stats": {"rational": 6, "quartic": 6, "generic": 3},
+    "stats": {"rational": 6, "quartic": 6, "generic": 4},
 }
 
 
@@ -69,13 +69,13 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
 
     if point == "generic":
         if emit == "gaps":
-            gaps, _ = families.gap_mask(p)  # RuntimeError or DuplicateGap on a bad family value
+            k, _ = families.kunz_counts(p)  # RuntimeError, DuplicateGap or NotClosed on a bad row
             if witnesses:
                 table = families.witness_table(p)
                 table.require_valid()
                 payload["gaps"] = table  # rendered record by record, see _witness_blocks
             else:
-                payload["gaps"] = np.flatnonzero(gaps)
+                payload["gaps"] = semigroup.KunzGaps(k)
         else:
             generic = families.generic_semigroup(p)
             if emit == "stats":
@@ -93,7 +93,7 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
         cells = curve._rational_cells(p) if point == "rational" else curve._quartic_cells(p)
         payload["apery"] = np.sort(curve._by_residue(p, gens.gens[0], cells))
     elif emit == "gaps":
-        payload["gaps"] = semigroup._gap_array(semigroup.profile_from_generators(gens))
+        payload["gaps"] = semigroup.KunzGaps.of(semigroup.profile_from_generators(gens))
     else:
         stats_of = curve.rational_apery_stats if point == "rational" else curve.quartic_apery_stats
         payload["stats"] = asdict(stats_of(p))
@@ -101,12 +101,12 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
 
 
 def cmd_table1(max_s: int) -> tuple[dict, int]:
-    if not 1 <= max_s <= 3:
-        raise UnsupportedCombination("table rows are available for s in 1..3")
+    if not 1 <= max_s <= 4:
+        raise UnsupportedCombination("table rows are available for s in 1..4")
     rows = []
     for s in range(1, max_s + 1):
         p = curve.make_params(s)
-        _, counts = families.gap_mask(p)
+        _, counts = families.kunz_counts(p)
         row = [counts[fid] for fid in families.FamilyId]
         row += [sum(row), p.genus]
         rows.append(dict(zip(_TABLE1_COLUMNS, (s, *row))))
@@ -193,16 +193,17 @@ def render(kind: str, payload: dict, fmt: str, out: TextIO | None = None) -> str
 
 def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
     """The report as consecutive strings.  A semigroup report's trailing series
-    goes out in blocks of _BLOCK: generators, Apery set or gaps (a list or an
-    array, read as one int64 array) through :func:`_decimal`, witness records
-    through :func:`_witness_blocks`."""
+    goes out in blocks of _BLOCK: generators or an Apery set (a list or an
+    array, read as one int64 array) and gaps (streamed from their Kunz
+    coordinates) through :func:`_decimal`, witness records through
+    :func:`_witness_blocks`."""
     key, series = list(payload.items())[-1]
     witnesses = isinstance(series, families.WitnessTable)
     if witnesses and fmt == "csv":
         raise UnsupportedCombination(_NO_WITNESS_CSV)
     if kind == "semigroup" and isinstance(series, (list, np.ndarray)):
         series = np.asarray(series, dtype=np.int64)
-    if not (witnesses or (isinstance(series, np.ndarray) and series.size)):
+    if not (witnesses or (isinstance(series, (np.ndarray, semigroup.KunzGaps)) and len(series))):
         writer = {"csv": _render_csv, "text": _render_text}.get(fmt)
         yield writer(kind, payload) if writer else json.dumps(payload, indent=2) + "\n"
         return
@@ -224,7 +225,9 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
     if witnesses:
         blocks = _witness_blocks(series, fmt, sep)
     else:
-        blocks = (_decimal(series[i:i + _BLOCK], sep) for i in range(0, len(series), _BLOCK))
+        arrays = (series.blocks(_BLOCK) if isinstance(series, semigroup.KunzGaps)
+                  else (series[i:i + _BLOCK] for i in range(0, len(series), _BLOCK)))
+        blocks = (_decimal(block, sep) for block in arrays)
     yield head
     for i, block in enumerate(blocks):
         if i:

@@ -12,8 +12,15 @@ family fixes sigma, the exponent f is treated as the dependent variable
 and tuples that would force f < 0 are skipped.
 
 Each family is a table of arithmetic progressions (:func:`_family_rows`)
-whose rows share one step, q^2 for F1 and q - q^2 for F2..F6;
-:func:`gap_mask` marks the gaps a row at a time on those two lattices.
+whose rows share one step, q^2 for F1 and q - q^2 for F2..F6.  The
+semigroup is the complement of the six families, and
+:func:`kunz_counts` reads its Kunz coordinates off the rows alone: the
+number k[r] of gaps in each residue r modulo the multiplicity m, which
+puts the Apery element of r at r + m*k[r] (Kunz 1987; Rosales and
+Garcia-Sanchez, "Numerical Semigroups", 2009).  It checks from the row
+ends that the families are distinct, and from per-residue value sums
+that each residue's gaps are exactly r, r + m, ..., r + (k[r] - 1)m,
+with no array over [0, 2g).
 
 Every gap value v admits a witness: an exponent vector for a monomial in
 the building-block functions (see :func:`skabelund.curve.pole_order_table`)
@@ -28,6 +35,7 @@ product against the building blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,7 +49,7 @@ from .errors import (
     NoWitness,
     UnsupportedS,
 )
-from .semigroup import GapSet, SemigroupProfile, minimal_generators
+from .semigroup import GapSet, KunzGaps, SemigroupProfile, minimal_generators
 
 
 class FamilyId(Enum):
@@ -98,8 +106,8 @@ class GapRecord:
 # get one row per outer tuple, with a4 = 0, 1, ..., min(a4cap, sigma - s3)
 # and f = sigma - s3 - a4.  Rows and the values along them come in the
 # lexicographic order of the loop variables, so output is deterministic.
-# gap_mask marks, range-checks and counts a row from its two ends and its
-# length; only the witness table and error messages expand it.
+# kunz_counts range-checks, separates and counts a row from its two ends and
+# its length; only the witness table and error messages expand it.
 
 _COLUMNS = ("a1", "a2", "a3", "a4", "f", "n", "c", "d")
 
@@ -213,36 +221,80 @@ def _family_params(p: CurveParams, fid: FamilyId) -> tuple[np.ndarray, np.ndarra
     return values, np.vstack((cols, sigma, nu))
 
 
-def _cover(lo: np.ndarray, hi: np.ndarray, step: int, limit: int) -> np.ndarray:
-    """How many rows lo..hi on the lattice of ``step`` hold each value in
-    [0, limit), modulo 256.  Cell (k, c) of the lattice holds c + k*step, so
-    its flat index is its value.  The difference array gets +1 at each lo
-    and -1 one step past each hi, summed per cell so that rows sharing an
-    end both count, and row-adds down the columns turn it into the cover.
-    The cells are counted after an argsort, the sort ``witness_table`` runs
-    too, so that the witness dump loads no second sort kernel."""
-    diff = np.zeros(((limit - 1) // step + 2, step), dtype=np.int8)
-    flat = diff.reshape(-1)
-    for cells, sign in ((lo, 1), (hi + step, -1)):
-        cells = cells[np.argsort(cells)]
-        first = np.flatnonzero(np.diff(cells, prepend=-1))
-        n = np.diff(first, append=len(cells))
-        flat[cells[first]] += (sign * n).astype(np.int8)
-    for k in range(1, len(diff)):
-        diff[k] += diff[k - 1]
-    return flat[:limit]
+def _digit_sum(p: CurveParams, x: np.ndarray) -> np.ndarray:
+    """a1 + a2 + a3 + a4 + f of x = a1 + q0*a2 + 2q0*a3 + q*a4 + q^2*f, with
+    a1, a3 < q0, a2 < 2 and a4 < q."""
+    q0, q = p.q0, p.q
+    low = x % q
+    return low % q0 + low // q0 % 2 + low // (2 * q0) + x // q % q + x // (q * q)
 
 
-def gap_mask(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
-    """Mark the six families in a bool array over [0, 2g) and count each,
-    row by row: a family's rows share one |step|, and the marks are the
-    values that the rows of both lattices (:func:`_cover`) cover once.
+def _distinct(p: CurveParams, step: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the ends of the rows lo..hi of one lattice show that they hold
+    no value twice, and none of the other lattice's.
+
+    Two rows share a value only if they lie in one class mod ``step`` and
+    overlap: sorted by (lo mod step, lo), each must end below the next one's
+    low end in its class.  F1 (step q^2) lies in {1 + x : ds(x) <= q - 2},
+    ds the digit sum, and F2..F6 (step q^2 - q) outside it.  Up an F1 row ds
+    gains one per step, so its top end decides; up an F2..F6 row ds holds
+    still, or gains q - 1 where the a4 digit borrows, so its low end does.
+    """
+    cls = lo % step
+    order = np.lexsort((lo, cls))
+    cls, lo, hi = cls[order], lo[order], hi[order]
+    if ((cls[1:] == cls[:-1]) & (hi[:-1] >= lo[1:])).any():
+        return False
+    if step == p.q * p.q:
+        return bool((_digit_sum(p, hi - 1) <= p.q - 2).all())
+    return bool((_digit_sum(p, lo - 1) >= p.q - 1).all())
+
+
+def _add_rows(lo: np.ndarray, length: np.ndarray, step: int,
+              k: np.ndarray, total: np.ndarray) -> None:
+    """Add the rows lo, lo + step, ... (``length`` values each) to the
+    per-residue counts ``k`` and value sums ``total`` modulo m = len(k).
+
+    Up a row the residue moves by t = step mod m, around one of the
+    d = gcd(t, m) cycles of Z/m under +t, each n = m/d long; residue r sits
+    at place (r div d)*(t/d)^-1 mod n of cycle r mod d.  Laid out twice in
+    a row per cycle, the cycles turn a row of at most n values into one run
+    of positions Q, along which its value is base + Q*step.  Difference
+    arrays of the counts and the bases give both sums per position, and the
+    two laps of each cycle add up per residue.
+    """
+    m = len(k)
+    t, d = step % m, math.gcd(step, m)
+    n = m // d
+    if (length > n).any():
+        raise RuntimeError(f"a row of {int(length.max())} values wraps its residue cycle of {n}")
+    r = lo % m
+    start = r % d * 2 * n + r // d * pow(t // d, -1, n) % n
+    base = lo - start * step
+    diff_k, diff_v = np.zeros(2 * m + 1, dtype=np.int64), np.zeros(2 * m + 1, dtype=np.int64)
+    for at, sign in ((start, 1), (start + length, -1)):
+        np.add.at(diff_k, at, sign)
+        np.add.at(diff_v, at, sign * base)
+    count = np.cumsum(diff_k[:-1])
+    values = np.cumsum(diff_v[:-1]) + count * np.arange(2 * m) * step
+    res = ((np.arange(d)[:, None] + np.arange(n) * t) % m).reshape(m)
+    k[res] += count.reshape(d, 2, n).sum(axis=1).reshape(m)
+    total[res] += values.reshape(d, 2, n).sum(axis=1).reshape(m)
+
+
+def kunz_counts(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
+    """The Kunz coordinates of the complement of the six families, and each
+    family's count, from the progression rows alone: k[r] family values are
+    congruent to r modulo the generic multiplicity m = q^2 - 2q0.
+
     Raises RuntimeError naming the first value outside [1, 2g) of the first
-    family with a row end outside, and DuplicateGap naming the first value,
-    in enumeration order, produced twice; the families are disjoint iff the
-    marks number as many as their values, so only then are they expanded
-    to find it."""
-    limit = 2 * p.genus
+    family with a row end outside.  Where :func:`_distinct` cannot tell the
+    rows apart, they are expanded, and DuplicateGap names the first value,
+    in enumeration order, produced twice.  Distinct values of residue r are
+    r, r + m, ..., r + (k - 1)m iff they sum to k*r + m*k(k - 1)/2; NotClosed
+    names the first residue whose sum (:func:`_add_rows`) is another.
+    """
+    limit, m = 2 * p.genus, p.q * p.q - 2 * p.q0
     rows = {fid: _family_rows(p, fid) for fid in FamilyId}
     lattices = {}
     for r in rows.values():
@@ -253,30 +305,34 @@ def gap_mask(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
             outside = (values < 1) | (values >= limit)
             raise RuntimeError(f"gap value {values[outside][0]} outside [1, {limit})")
         lattices.setdefault(abs(r.step), []).append((lo, hi))
-    cover = np.zeros(limit, dtype=np.int8)
-    for step, ends in lattices.items():
-        lo, hi = (np.concatenate(e) for e in zip(*ends))
-        cover += _cover(lo, hi, step, limit)
-    marked = cover == 1  # a value covered c > 1 times adds c to the counts, 1 mark at most
-    counts = {fid: int(r.length.sum()) for fid, r in rows.items()}
-    if np.count_nonzero(marked) != sum(counts.values()):
+    lattices = {step: [np.concatenate(e) for e in zip(*ends)] for step, ends in lattices.items()}
+    if not all(_distinct(p, step, lo, hi) for step, (lo, hi) in lattices.items()):
         every = np.concatenate([_expand(r)[0] for r in rows.values()])
         repeat = np.ones(len(every), dtype=bool)
         repeat[np.unique(every, return_index=True)[1]] = False
-        raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")
-    return marked, counts
+        if repeat.any():
+            raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")
+    k, total = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    for step, (lo, hi) in lattices.items():
+        _add_rows(lo, (hi - lo) // step + 1, step, k, total)
+    expected = k * np.arange(m) + m * (k * (k - 1) // 2)
+    if (total != expected).any():
+        r = int(np.argmax(total != expected))
+        raise NotClosed(f"residue {r} holds {k[r]} gaps summing to {total[r]}, not "
+                        f"{expected[r]}: a gap lies above a member of its residue")
+    return k, {fid: int(r.length.sum()) for fid, r in rows.items()}
 
 
 def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
-    """The gap set (bound 2g) that :func:`gap_mask` marks, and its counts."""
-    marked, counts = gap_mask(p)
-    return GapSet(tuple(np.flatnonzero(marked).tolist()), 2 * p.genus), counts
+    """The gap set (bound 2g) that :func:`kunz_counts` counts, and its counts."""
+    k, counts = kunz_counts(p)
+    return GapSet(tuple(KunzGaps(k).array().tolist()), 2 * p.genus), counts
 
 
 def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
     """Union of the six families with full records, sorted by value (the
     order of :func:`witness_table`)."""
-    gap_mask(p)  # RuntimeError or DuplicateGap on a bad family value
+    kunz_counts(p)  # RuntimeError, DuplicateGap or NotClosed on a bad family value
     cols = witness_table(p).columns
     fids = list(FamilyId)
     records = [GapRecord(v, fids[k - 1], FamilyParams(*fields))
@@ -323,30 +379,20 @@ class GenericSemigroup:
 def generic_semigroup(p: CurveParams) -> GenericSemigroup:
     """The semigroup at a generic point: complement C of the six families.
 
-    Reads the Apery set of C off the mask of :func:`gap_mask` and certifies
-    exactly that C is a semigroup.  C lies inside the set the Apery array
-    describes, so the two are equal iff they have as many gaps; that set is
-    closed iff its minimal generators reach every Apery element by a tight
-    edge (:func:`minimal_generators`).  Either failure raises NotClosed.
+    Its Apery set is D[r] = r + m*k[r] for the Kunz coordinates k of
+    :func:`kunz_counts`, which also shows that each residue's gaps are
+    exactly those below D[r]: C is the set that D describes.  C is closed
+    under addition, with multiplicity m, iff its minimal generators reach
+    every Apery element by a tight edge and every D[r], r > 0, lies above m
+    (:func:`minimal_generators`, which raises NotClosed otherwise).
     """
-    if p.s > 3:
-        raise UnsupportedS("generic-point enumeration is supported for s <= 3")
-    gaps, counts = gap_mask(p)
-    m = int(np.argmin(gaps[1:])) + 1
-    # Pad with members to a multiple of m past 2g + m, so that every residue
-    # has a member; the first member in each column is its Apery element.
-    rows = -(-(len(gaps) + m) // m)
-    padded = np.zeros(rows * m, dtype=bool)
-    padded[:len(gaps)] = gaps
-    apery = padded.reshape(rows, m).argmin(axis=0) * m + np.arange(m)
-    profile = SemigroupProfile.from_apery(apery.tolist())
-
+    if p.s > 4:
+        raise UnsupportedS("generic-point semigroups are supported for s <= 4")
+    k, counts = kunz_counts(p)
+    m = len(k)
+    profile = SemigroupProfile.from_apery((np.arange(m) + m * k).tolist())
     if profile.genus != p.genus:
         raise RuntimeError(f"complement profile has genus {profile.genus}, expected {p.genus}")
-    n_gaps = int(np.count_nonzero(gaps))
-    if n_gaps != profile.genus:
-        raise NotClosed(f"complement has {n_gaps} gaps, its Apery set "
-                        f"{profile.genus}: a gap lies above a member of its residue")
     return GenericSemigroup(profile, counts, minimal_generators(profile))
 
 

@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -187,19 +187,40 @@ def contains(p: SemigroupProfile, n: int) -> bool:
 
 
 def gaps_of(p: SemigroupProfile) -> GapSet:
-    """All gaps of the semigroup, from :func:`_gap_array`."""
-    return GapSet(tuple(_gap_array(p).tolist()), p.conductor)
+    """All gaps of the semigroup, from :class:`KunzGaps`."""
+    return GapSet(tuple(KunzGaps.of(p).array().tolist()), p.conductor)
 
 
-def _gap_array(p: SemigroupProfile) -> np.ndarray:
-    """All gaps, in order, as an int64 array; n is a gap iff n < apery[n mod m].
+@dataclass(frozen=True)
+class KunzGaps:
+    """The gaps of a numerical semigroup in Kunz coordinates: residue r
+    modulo m = len(k) holds the k[r] gaps r + j*m, j < k[r], below its Apery
+    element r + m*k[r].  ``len`` is the genus."""
 
-    With n = k*m + r, that reads k < (apery[r] - r) / m, so the gaps are
-    the flat indices, in order, where a (rows, m) table of it holds.
-    """
-    m = p.multiplicity
-    heights = (np.asarray(p.apery, dtype=np.int64) - np.arange(m)) // m
-    return np.flatnonzero(np.arange(heights.max())[:, None] < heights)
+    k: np.ndarray
+
+    @classmethod
+    def of(cls, p: SemigroupProfile) -> "KunzGaps":
+        m = p.multiplicity
+        return cls((np.asarray(p.apery, dtype=np.int64) - np.arange(m)) // m)
+
+    def __len__(self) -> int:
+        return int(self.k.sum())
+
+    def blocks(self, size: int) -> Iterator[np.ndarray]:
+        """The gaps in increasing order, as int64 arrays of at most ``size``
+        values, never all at once.  Row j holds r + j*m for the residues r,
+        in order, with k[r] > j: those of row j - 1 that remain."""
+        m = len(self.k)
+        alive = np.arange(m)
+        for j in range(int(self.k.max())):
+            alive = alive[self.k[alive] > j]
+            for i in range(0, alive.size, size):
+                yield alive[i:i + size] + j * m
+
+    def array(self) -> np.ndarray:
+        """Every gap, in order, as one int64 array."""
+        return np.concatenate([np.empty(0, dtype=np.int64), *self.blocks(len(self.k))])
 
 
 def is_symmetric(p: SemigroupProfile) -> bool:

@@ -8,8 +8,8 @@ The family value and the per-record witness seed restate, one record at a
 time in plain Python, the paper's displayed family expressions and the seed
 rule that ``skabelund.families`` applies to whole columns, and the witness
 cost reads each exponent against its building block by name.  The scatter
-mask marks the generic gaps value by value, where ``families.gap_mask``
-marks whole progression rows.  The phi formula
+mask marks the generic gaps value by value, where ``families.kunz_counts``
+counts whole progression rows per residue.  The phi formula
 restates the paper's piecewise offset map over whole index arrays, with
 none of the per-cell tables that ``skabelund.curve`` streams its Apery sets from.
 """
@@ -160,7 +160,7 @@ def family_value(p, fid: FamilyId, fp) -> int:
 
 def scatter_gap_mask(p) -> tuple[np.ndarray, dict[FamilyId, int]]:
     """Expand each family's rows into values and scatter them one by one
-    into a bool array over [0, 2g), with the errors of ``gap_mask``: the
+    into a bool array over [0, 2g), with the errors of ``kunz_counts``: the
     first value outside [1, 2g) in the first family holding one, then the
     first value produced twice in enumeration order."""
     limit = 2 * p.genus

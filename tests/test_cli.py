@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skabelund import GeneratorSet
+from skabelund import FamilyId, GeneratorSet, family_count_closed_form, make_params
+from skabelund.semigroup import KunzGaps
 from skabelund.cli import cmd_params, cmd_semigroup, cmd_verify, main
 
 
@@ -79,9 +80,12 @@ def test_semigroup_caps(capsys):
     code, _, err = run(capsys, "semigroup", "--s", "4", "--point", "rational",
                        "--emit", "gaps")
     assert code == 2 and "s = 3" in err
-    code, _, _ = run(capsys, "semigroup", "--s", "4", "--point", "generic",
-                     "--emit", "stats")
-    assert code == 2
+    code, _, err = run(capsys, "semigroup", "--s", "5", "--point", "generic",
+                       "--emit", "stats")
+    assert (code, err) == (2, "error: --emit stats for generic points is supported up to s = 4\n")
+    code, _, err = run(capsys, "semigroup", "--s", "4", "--point", "generic",
+                       "--emit", "gaps")
+    assert code == 2 and "s = 3" in err
     code, _, _ = run(capsys, "semigroup", "--s", "1", "--point", "rational",
                      "--emit", "stats", "--witnesses")
     assert code == 2
@@ -177,8 +181,23 @@ def test_table1_text_and_csv(capsys):
 
 
 def test_table1_bad_max_s(capsys):
-    code, _, _ = run(capsys, "table1", "--max-s", "4")
-    assert code == 2
+    code, _, err = run(capsys, "table1", "--max-s", "5")
+    assert (code, err) == (2, "error: table rows are available for s in 1..4\n")
+
+
+def test_generic_size_four(capsys):
+    # the generic class reaches s = 4 through its row counts and the exact sweep
+    code, out, _ = run(capsys, "semigroup", "--s", "4", "--point", "generic",
+                       "--emit", "stats", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["stats"] == {"multiplicity": 262112, "genus": 66846976,
+                                        "conductor": 133693442, "frobenius": 133693441,
+                                        "symmetric": False}
+    code, out, _ = run(capsys, "table1", "--max-s", "4", "--format", "csv")
+    assert code == 0
+    p = make_params(4)
+    counts = [family_count_closed_form(p, fid) for fid in FamilyId]
+    assert out.splitlines()[-1] == ",".join(map(str, [4, *counts, p.genus, p.genus]))
 
 
 def test_table1_mismatch_exits_one(capsys, monkeypatch):
@@ -226,7 +245,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def boom(p):
         raise DuplicateGap("value 7 produced twice")
 
-    monkeypatch.setattr(cli.families, "gap_mask", boom)
+    monkeypatch.setattr(cli.families, "kunz_counts", boom)
     code, _, err = run(capsys, "table1", "--max-s", "1")
     assert code == 3
     assert "DuplicateGap" in err
@@ -238,7 +257,7 @@ def test_memory_error_exits_three(capsys, monkeypatch):
     def boom(p):
         raise MemoryError("bool array of 2g entries")
 
-    monkeypatch.setattr(cli.families, "gap_mask", boom)
+    monkeypatch.setattr(cli.families, "kunz_counts", boom)
     code, _, err = run(capsys, "table1", "--max-s", "1")
     assert code == 3
     assert err == "internal error: MemoryError: bool array of 2g entries\n"
@@ -324,7 +343,7 @@ def _corrupt_first_f4_seed(monkeypatch) -> int:
     """Add 1 to a1 in the columnar seed of the smallest F4 gap at s = 2;
     return that gap's value."""
     import skabelund.families as fam
-    from skabelund import FamilyId, make_params, witness_table
+    from skabelund import witness_table
 
     columns = witness_table(make_params(2)).columns
     target = columns[:, columns[1] == FamilyId.F4.value][:, 0]
@@ -365,7 +384,7 @@ def _dict_witness_dump(s: int, fmt: str) -> str:
     enumerate_all and gap_witness."""
     from dataclasses import asdict
 
-    from skabelund import enumerate_all, gap_witness, make_params
+    from skabelund import enumerate_all, gap_witness
 
     p = make_params(s)
     head = {"s": p.s, "q0": p.q0, "q": p.q, "genus": p.genus, "point": "generic", "emit": "gaps"}
@@ -409,32 +428,39 @@ def test_witness_dump_matches_dict_render(s, fmt, block, capsys, monkeypatch, tm
     ("semigroup", "--s", "1", "--point", "generic", "--emit", "generators"),
 ])
 def test_one_generic_build_per_request(argv, capsys, monkeypatch):
-    # the families are marked once and the Apery set swept once per s
+    # the families are counted once and the Apery set swept once per s
     import skabelund.families as fam
     import skabelund.semigroup as sg
 
     calls = []
-    real_mask, real_sweep = fam.gap_mask, sg.minimal_generators
+    real_count, real_sweep = fam.kunz_counts, sg.minimal_generators
 
-    def mask(p):
-        calls.append("mark")
-        return real_mask(p)
+    def count(p):
+        calls.append("count")
+        return real_count(p)
 
     def sweep(profile):
         calls.append("sweep")
         return real_sweep(profile)
 
-    monkeypatch.setattr(fam, "gap_mask", mask)
+    monkeypatch.setattr(fam, "kunz_counts", count)
     for module in (fam, sg):
         monkeypatch.setattr(module, "minimal_generators", sweep)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert calls == ["mark", "sweep"]
+    assert calls == ["count", "sweep"]
+
+
+def _values(series):
+    """A series as one array: gaps streamed from Kunz coordinates are
+    gathered, lists and arrays kept."""
+    return series.array() if isinstance(series, KunzGaps) else series
 
 
 def _listed(payload: dict) -> dict:
     """The payload with its array series as a list, as json.dumps takes it."""
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    return {k: _values(v).tolist() if isinstance(v, (np.ndarray, KunzGaps)) else v
+            for k, v in payload.items()}
 
 
 def test_json_render_matches_json_dumps(monkeypatch):
@@ -474,7 +500,7 @@ def _per_item_render(payload: dict, fmt: str) -> str:
                      ",".join(str(stats[k]) for k in
                               ("multiplicity", "genus", "conductor", "frobenius", "symmetric"))]
         else:
-            lines = ["value", *(str(v) for v in payload[payload["emit"]])]
+            lines = ["value", *(str(v) for v in _values(payload[payload["emit"]]))]
         return "\n".join(lines) + "\n"
     lines = [f"{k} = {payload[k]}" for k in ("s", "q0", "q", "genus", "point", "emit")]
     if stats:
@@ -484,18 +510,20 @@ def _per_item_render(payload: dict, fmt: str) -> str:
     else:
         key = payload["emit"]
         lines.append(f"{key} ({len(payload[key])} values):")
-        lines.extend(str(v) for v in payload[key])
+        lines.extend(str(v) for v in _values(payload[key]))
     return "\n".join(lines) + "\n"
 
 
 # every point and emit at s = 1 and 2 in blocks of 65,536; the series longer than
-# 1,000 items (the s = 2 gaps and generic Apery set) again in blocks of 1,000
+# 1,000 items (the s = 2 gaps and generic Apery set) again in blocks of 1,000,
+# and the large series also in the writer's own blocks of 16,384
 _SERIES_CASES = [(s, point, emit, 65536) for s in (1, 2)
                  for point in ("rational", "quartic", "generic")
                  for emit in ("generators", "apery", "gaps", "stats")]
 _SERIES_CASES += [(2, point, "gaps", 1000) for point in ("rational", "quartic", "generic")]
 _SERIES_CASES += [(2, "generic", "apery", 1000)]
 _SERIES_CASES += [(*case, block) for case in _LARGE_SERIES for block in (65536, 1000)]
+_SERIES_CASES += [(*case, 16384) for case in _LARGE_SERIES]
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
@@ -546,9 +574,9 @@ def test_decimal_rejects_decreasing_or_negative(values):
 
 @pytest.mark.parametrize("point", ["generic", "quartic"])
 def test_gap_dump_peak_memory(point):
-    # a million gaps stay one int64 array from the build to the streamed
-    # render, not a million Python ints; both dumps peak at 12.9 MiB, the
-    # 7.9 MiB gap array and the blocks written from it
+    # a million gaps stream from their Kunz coordinates in int64 blocks of
+    # 16,384, never one array or a million Python ints: the generic dump
+    # peaks at 3.9 MiB (its row counts), the quartic one at 1.8 MiB
     from skabelund.cli import render
 
     tracemalloc.start()
@@ -560,4 +588,4 @@ def test_gap_dump_peak_memory(point):
     finally:
         tracemalloc.stop()
     assert len(payload["gaps"]) == 1_032_256
-    assert peak < 16 * 2**20
+    assert peak < 5 * 2**20

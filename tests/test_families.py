@@ -139,36 +139,62 @@ def test_gap_bitset_guards(p1, monkeypatch):
             return dataclasses.replace(real(p, fid), start=start, length=length, value=first)
         monkeypatch.setattr(fam, "_family_rows", rows)
 
+    # 7 is no F1 value (its digit sum is too small for F2..F6), so the rows
+    # are expanded to look for a repeat; there is none, and both are counted
     families_hold({FamilyId.F1: [(5, 1)], FamilyId.F2: [(7, 1)]})
-    marked, counts = fam.gap_mask(p1)
-    assert np.flatnonzero(marked).tolist() == [5, 7]
+    k, counts = fam.kunz_counts(p1)
+    assert np.flatnonzero(k).tolist() == [5, 7]
     assert counts == {fid: int(fid in (FamilyId.F1, FamilyId.F2)) for fid in FamilyId}
     families_hold({FamilyId.F1: [(5, 2)], FamilyId.F2: [(7, 1), (5, 1)]})  # 5, 69; 7, 5
     with pytest.raises(DuplicateGap, match="^value 5 produced twice$"):
-        fam.gap_mask(p1)
+        fam.kunz_counts(p1)
     # two F2 rows down one column that share their top end, 117 = 5 + 2*56:
-    # the difference array must count both, or the cover 1 left past their
-    # end would fill out the column to exactly the five values they hold
+    # sorted by low end, the row 5..117 ends above the row 61..117 starts
     families_hold({FamilyId.F2: [(117, 3), (117, 2)]})
     with pytest.raises(DuplicateGap, match="^value 117 produced twice$"):
-        fam.gap_mask(p1)
+        fam.kunz_counts(p1)
+    # the rows 64..176 and 120 of one column (mod 56), with the row 112 of
+    # another between their low ends: only a sort by the column first puts
+    # the two next to each other.  All three start outside F1's digit sums.
+    families_hold({FamilyId.F2: [(176, 3), (112, 1), (120, 1)]})
+    with pytest.raises(DuplicateGap, match="^value 120 produced twice$"):
+        fam.kunz_counts(p1)
     families_hold({FamilyId.F3: [(0, 1)]})
     with pytest.raises(RuntimeError, match=rf"^gap value 0 outside \[1, {limit}\)$"):
-        fam.gap_mask(p1)
+        fam.kunz_counts(p1)
     families_hold({FamilyId.F6: [(limit, 1)]})
     with pytest.raises(RuntimeError, match=rf"^gap value {limit} outside \[1, {limit}\)$"):
-        fam.gap_mask(p1)
+        fam.kunz_counts(p1)
     with pytest.raises(UnsupportedS):
-        generic_semigroup(make_params(4))
+        generic_semigroup(make_params(5))
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_gap_mask_matches_scatter_oracle(s, request):
+    # k against the least member of each residue column of the oracle's
+    # marks, padded with members past 2g + m
     p = request.getfixturevalue(f"p{s}")
-    marked, counts = fam.gap_mask(p)
-    expected, expected_counts = scatter_gap_mask(p)
-    assert np.array_equal(marked, expected)
+    k, counts = fam.kunz_counts(p)
+    marked, expected_counts = scatter_gap_mask(p)
+    m = p.q * p.q - 2 * p.q0
+    rows = -(-(len(marked) + m) // m)
+    padded = np.zeros(rows * m, dtype=bool)
+    padded[:len(marked)] = marked
+    assert np.array_equal(k, padded.reshape(rows, m).argmin(axis=0))
     assert counts == expected_counts
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_row_ends_show_distinctness(s, monkeypatch):
+    # the real families are told apart by their row ends alone: no row is
+    # expanded to look for a repeat
+    def expand(rows):
+        raise AssertionError("rows expanded")
+
+    monkeypatch.setattr(fam, "_expand", expand)
+    p = make_params(s)
+    k, counts = fam.kunz_counts(p)
+    assert int(k.sum()) == sum(counts.values()) == p.genus
 
 
 def _lengthen_f1(rows):
@@ -205,19 +231,20 @@ def test_gap_mask_mutations_match_scatter_oracle(fid, mutate, error, p2, monkeyp
     with pytest.raises(error) as expected:
         scatter_gap_mask(p2)
     with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
-        fam.gap_mask(p2)
+        fam.kunz_counts(p2)
 
 
 def test_gap_mask_peak_memory(p3):
-    # the marks live on two int8 lattices over [0, 2g), 2 MiB each at
-    # s = 3, never in the million expanded int64 values of the oracle
+    # the counts come from the 17,992 rows and arrays over the m = 16,368
+    # residues, 3.9 MiB at s = 3, never from the million expanded int64
+    # values of the oracle or an array over [0, 2g)
     tracemalloc.start()
     try:
-        fam.gap_mask(p3)
+        fam.kunz_counts(p3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 5 * 2**20
 
 
 def test_duplicated_row_names_first_repeat(p2, monkeypatch):
@@ -285,17 +312,18 @@ def test_generic_minimal_generators_regenerate(p1, p2, p3):
 
 
 def test_closure_violation_detected(p1, monkeypatch):
-    real = fam.gap_mask
+    real = fam.kunz_counts
 
     def corrupted(p):
-        marked, counts = real(p)
+        k, counts = real(p)
         # swap gap 108 for the indecomposable member 62: the per-residue
         # least-member structure still adds up to the genus, but the
         # complement elements 60 and 108 now sum to the gap 168
-        marked[108], marked[62] = False, True
-        return marked, counts
+        k[108 % 60] -= 1
+        k[62 % 60] += 1
+        return k, counts
 
-    monkeypatch.setattr(fam, "gap_mask", corrupted)
+    monkeypatch.setattr(fam, "kunz_counts", corrupted)
     with pytest.raises(NotClosed):
         fam.generic_semigroup(p1)
 
@@ -304,15 +332,36 @@ def test_closure_violation_detected(p1, monkeypatch):
 def test_hole_in_complement_detected(s, request, monkeypatch):
     p = request.getfixturevalue(f"p{s}")
     m = fam.generic_semigroup(p).profile.multiplicity
-    real = fam.gap_mask
+    real = fam._family_rows
 
-    def with_hole(p):
-        # 2m joins the gaps: the Apery set and its genus are unchanged, but
-        # the complement no longer holds m + m
-        marked, counts = real(p)
-        marked[2 * m] = True
-        return marked, counts
+    def with_hole(p, fid):
+        # 2m joins F1 as a row of its own: the complement no longer holds
+        # m + m, and residue 0's one gap is not 0
+        rows = real(p, fid)
+        if fid is not FamilyId.F1:
+            return rows
+        return dataclasses.replace(rows, start=np.pad(rows.start, ((0, 0), (0, 1))),
+                                   length=np.append(rows.length, 1),
+                                   value=np.append(rows.value, 2 * m))
 
-    monkeypatch.setattr(fam, "gap_mask", with_hole)
-    with pytest.raises(NotClosed):
+    monkeypatch.setattr(fam, "_family_rows", with_hole)
+    with pytest.raises(NotClosed, match=f"^residue 0 holds 1 gaps summing to {2 * m}, not 0:"):
         fam.generic_semigroup(p)
+
+
+def test_generic_semigroup_size_four():
+    # the generic class at s = 4 from its row counts, with the exact sweep;
+    # traced peak 62 MB, below one int8 lattice over [0, 2g) (133.7 MB)
+    p = make_params(4)
+    tracemalloc.start()
+    try:
+        generic = generic_semigroup(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    prof = generic.profile
+    assert (prof.multiplicity, prof.genus, prof.conductor) == (262_112, 66_846_976, 133_693_442)
+    assert prof.genus == p.genus
+    assert len(generic.generators) == 1504
+    assert generic.generators[:4] == (262_112, 262_128, 262_143, 262_144)
+    assert peak < 2 * p.genus

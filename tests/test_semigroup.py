@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from skabelund import (
@@ -19,6 +20,7 @@ from skabelund import (
     profile_from_generators,
     verify_cofinite_complement,
 )
+from skabelund.semigroup import KunzGaps
 
 from oracles import (
     closed_apery,
@@ -92,6 +94,19 @@ def test_gaps_of():
     gs = gaps_of(profile_of(40, 50, 60, 64, 65))
     assert len(gs.gaps) == 196
     assert gs.gaps[-1] == 391
+
+
+@pytest.mark.parametrize("size", [1, 7, 40, 196, 1000])
+def test_kunz_gap_blocks(size):
+    # the gaps in blocks of at most ``size``, in the order and with the
+    # values of the sieve
+    gens = [40, 50, 60, 64, 65]
+    gaps = KunzGaps.of(profile_of(*gens))
+    blocks = list(gaps.blocks(size))
+    assert all(1 <= len(b) <= size for b in blocks)
+    assert np.concatenate(blocks).tolist() == sieve_gaps(gens, sieve_window(gens))
+    assert len(gaps) == 196
+    assert len(KunzGaps.of(profile_of(1))) == 0 and list(KunzGaps.of(profile_of(1)).blocks(size)) == []
 
 
 def test_is_symmetric():
