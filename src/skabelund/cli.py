@@ -75,28 +75,29 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
                 table.require_valid()
                 payload["gaps"] = table  # rendered record by record, see _witness_blocks
             else:
-                payload["gaps"] = semigroup.KunzGaps(k)
+                payload["gaps"] = semigroup.SemigroupProfile(k)
         else:
             generic = families.generic_semigroup(p)
             if emit == "stats":
                 payload["stats"] = asdict(semigroup.SemigroupStats.from_profile(generic.profile))
             elif emit == "apery":
-                payload["apery"] = np.sort(np.asarray(generic.profile.apery, dtype=np.int64))
+                m = generic.profile.multiplicity
+                payload["apery"] = np.sort(np.arange(m) + m * generic.profile.k)
             else:
                 payload["generators"] = list(generic.generators)
         return payload, 0
 
-    gens = curve.rational_generators(p) if point == "rational" else curve.quartic_generators(p)
     if emit == "generators":
+        gens = curve.rational_generators(p) if point == "rational" else curve.quartic_generators(p)
         payload["generators"] = list(gens.gens)
-    elif emit == "apery":
-        cells = curve._rational_cells(p) if point == "rational" else curve._quartic_cells(p)
-        payload["apery"] = np.sort(curve._by_residue(p, gens.gens[0], cells))
-    elif emit == "gaps":
-        payload["gaps"] = semigroup.KunzGaps.of(semigroup.profile_from_generators(gens))
-    else:
+    elif emit == "stats":
         stats_of = curve.rational_apery_stats if point == "rational" else curve.quartic_apery_stats
         payload["stats"] = asdict(stats_of(p))
+    elif emit == "apery":
+        payload["apery"] = np.sort(curve.special_apery(p, point))
+    else:
+        apery = curve.special_apery(p, point)
+        payload["gaps"] = semigroup.SemigroupProfile(apery // len(apery))  # k = (D - r) // m
     return payload, 0
 
 
@@ -137,13 +138,12 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
         # each check of the two special classes, rational first
         special = {"rational": semigroup.profile_from_generators(curve.rational_generators(p)),
                    "quartic": semigroup.profile_from_generators(curve.quartic_generators(p))}
-        closed_form = {"rational": curve.rational_apery, "quartic": curve.quartic_apery}
         checks += [_check(f"{point}_genus", s, prof.genus == p.genus, prof.genus, p.genus)
                    for point, prof in special.items()]
         checks += [_check(f"{point}_symmetric", s, prof.conductor == 2 * p.genus,
                           prof.conductor, 2 * p.genus) for point, prof in special.items()]
         checks += [_check(f"{point}_apery_agreement", s,
-                          closed_form[point](p) == frozenset(prof.apery),
+                          np.array_equal(curve.special_apery(p, point) // prof.multiplicity, prof.k),
                           "closed-form set", "shortest-path set")
                    for point, prof in special.items()]
 
@@ -201,9 +201,13 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
     witnesses = isinstance(series, families.WitnessTable)
     if witnesses and fmt == "csv":
         raise UnsupportedCombination(_NO_WITNESS_CSV)
+    count = 0
     if kind == "semigroup" and isinstance(series, (list, np.ndarray)):
         series = np.asarray(series, dtype=np.int64)
-    if not (witnesses or (isinstance(series, (np.ndarray, semigroup.KunzGaps)) and len(series))):
+        count, arrays = len(series), (series[i:i + _BLOCK] for i in range(0, len(series), _BLOCK))
+    elif isinstance(series, semigroup.SemigroupProfile):
+        count, arrays = series.genus, series.blocks(_BLOCK)
+    if not (witnesses or count):
         writer = {"csv": _render_csv, "text": _render_text}.get(fmt)
         yield writer(kind, payload) if writer else json.dumps(payload, indent=2) + "\n"
         return
@@ -220,14 +224,10 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
         if key == "generators":
             head, sep = head + "generators = ", " "
         elif not witnesses:
-            head += f"{key} ({len(series)} values):\n"
+            head += f"{key} ({count} values):\n"
 
-    if witnesses:
-        blocks = _witness_blocks(series, fmt, sep)
-    else:
-        arrays = (series.blocks(_BLOCK) if isinstance(series, semigroup.KunzGaps)
-                  else (series[i:i + _BLOCK] for i in range(0, len(series), _BLOCK)))
-        blocks = (_decimal(block, sep) for block in arrays)
+    blocks = (_witness_blocks(series, fmt, sep) if witnesses
+              else (_decimal(block, sep) for block in arrays))
     yield head
     for i, block in enumerate(blocks):
         if i:

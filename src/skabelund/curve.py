@@ -11,8 +11,8 @@ special classes in closed form:
   and an Apery set {phi(i) * g0 + i} driven by the piecewise map phi.
 
 Each Apery set is written once, as a table of cells that the summary
-statistics sum in closed form and that the set and :func:`phi_values`
-expand.  Generic points are handled in :mod:`skabelund.families`.
+statistics sum in closed form and that :func:`special_apery` expands by
+residue.  Generic points are handled in :mod:`skabelund.families`.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def rational_generators(p: CurveParams) -> GeneratorSet:
 def rational_apery(p: CurveParams) -> frozenset[int]:
     """Apery set at a rational point: all sums h*g1 + i*g2 + j*g3 + k*g4
     over the box 0<=h<=1, 0<=i<=q0-1, 0<=j<=q-2q0, 0<=k<=q0-1."""
-    return frozenset(_by_residue(p, rational_generators(p).gens[0], _rational_cells(p)).tolist())
+    return frozenset(special_apery(p, "rational").tolist())
 
 
 def quartic_generators(p: CurveParams) -> GeneratorSet:
@@ -147,7 +147,7 @@ def phi(p: CurveParams, i: int) -> int:
 
 def quartic_apery(p: CurveParams) -> frozenset[int]:
     """Apery set at a quartic point: {phi(i)*g0 + i | 0 <= i < g0}."""
-    return frozenset(_by_residue(p, quartic_multiplicity(p), _quartic_cells(p)).tolist())
+    return frozenset(special_apery(p, "quartic").tolist())
 
 
 @lru_cache(maxsize=None)
@@ -258,14 +258,17 @@ def _cell_sums(cells: np.ndarray) -> tuple[int, int, int]:
     return int(rows.sum()), sum(sums.tolist()), top  # the sum passes 2^63 at s = 6
 
 
-def _by_residue(p: CurveParams, m: int, cells: np.ndarray) -> np.ndarray:
-    """Expand a cell table into one array indexed by residue mod m.
+def special_apery(p: CurveParams, point: str) -> np.ndarray:
+    """The Apery set of the "rational" or "quartic" class as one int64 array
+    indexed by residue; its quotient by m is the Kunz vector (phi, if quartic).
 
     A repeated residue is named at its first repeat in expansion order, and
     the elements must pass the checks of ``_stats``; either failure means a
     transcription bug.
     """
-    vals = np.concatenate(list(_expand(cells)))
+    m, cells = {"rational": (rational_generators(p).gens[0], _rational_cells),
+                "quartic": (quartic_multiplicity(p), _quartic_cells)}[point]
+    vals = np.concatenate(list(_expand(cells(p))))
     residues = vals % m
     if np.bincount(residues, minlength=m).max() > 1:
         first = np.zeros(vals.size, dtype=bool)
@@ -305,7 +308,7 @@ def phi_values(p: CurveParams, idx: np.ndarray) -> np.ndarray:
     bad = idx[(idx < 0) | (idx >= g0)]
     if bad.size:
         raise OutOfDomain(f"phi index {bad[0]} outside 0..{g0 - 1}")
-    return _by_residue(p, g0, _quartic_cells(p))[idx] // g0
+    return special_apery(p, "quartic")[idx] // g0
 
 
 def rational_apery_stats(p: CurveParams) -> SemigroupStats:

@@ -42,7 +42,7 @@ class NonIntegerResult(SkabelundError):
 
 
 class NotClosed(SkabelundError):
-    """A claimed semigroup complement is not closed under addition (internal bug)."""
+    """A claimed semigroup or Apery array is not closed under addition or not in normal form."""
 
 
 class NoWitness(SkabelundError):

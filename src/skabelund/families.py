@@ -49,7 +49,7 @@ from .errors import (
     NoWitness,
     UnsupportedS,
 )
-from .semigroup import GapSet, KunzGaps, SemigroupProfile, minimal_generators
+from .semigroup import GapSet, SemigroupProfile, gaps_of, minimal_generators
 
 
 class FamilyId(Enum):
@@ -326,7 +326,7 @@ def kunz_counts(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
 def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
     """The gap set (bound 2g) that :func:`kunz_counts` counts, and its counts."""
     k, counts = kunz_counts(p)
-    return GapSet(tuple(KunzGaps(k).array().tolist()), 2 * p.genus), counts
+    return GapSet(gaps_of(SemigroupProfile(k)).gaps, 2 * p.genus), counts
 
 
 def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
@@ -389,8 +389,7 @@ def generic_semigroup(p: CurveParams) -> GenericSemigroup:
     if p.s > 4:
         raise UnsupportedS("generic-point semigroups are supported for s <= 4")
     k, counts = kunz_counts(p)
-    m = len(k)
-    profile = SemigroupProfile.from_apery((np.arange(m) + m * k).tolist())
+    profile = SemigroupProfile(k)
     if profile.genus != p.genus:
         raise RuntimeError(f"complement profile has genus {profile.genus}, expected {p.genus}")
     return GenericSemigroup(profile, counts, minimal_generators(profile))

@@ -15,12 +15,14 @@ a set closed under addition, come from the reduced-cost optimality
 conditions of shortest paths (Ahuja, Magnanti & Orlin, "Network Flows",
 1993, ch. 5): each generator's edges are tested against the array
 itself, by the same shifted add and min, with no new path computed.
-Membership, gaps, genus, conductor and Frobenius number follow by direct
-arithmetic:
+A profile holds the Kunz coordinates k (Kunz 1987; Rosales & Garcia-Sanchez
+2009): k[r] gaps lie in residue r, whose Apery element is r + m*k[r].  The
+rest follows by direct arithmetic:
 
-    n in S          iff  n >= apery[n mod m]
-    genus           =    sum(a // m for a in apery)
-    conductor       =    1 + max(apery) - m
+    n in S          iff  n div m >= k[n mod m]
+    gaps            =    r + j*m for every r and j < k[r]
+    genus           =    sum(k)
+    conductor       =    1 + max(r + m*k[r]) - m
     frobenius       =    conductor - 1        (-1 when S is all of N)
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -56,27 +58,64 @@ class GeneratorSet:
             raise NonCoprime(f"gcd({', '.join(map(str, self.gens))}) != 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemigroupProfile:
-    """A numerical semigroup in Apery normal form.
+    """A numerical semigroup in Kunz coordinates: residue r modulo m = len(k)
+    holds the k[r] gaps r + j*m, j < k[r], below its Apery element r + m*k[r].
+    ``k`` is a read-only view, int64 when every Apery element fits and of
+    Python ints otherwise; the summary numbers are Python ints."""
 
-    ``apery[r]`` is the least semigroup element congruent to r modulo the
-    multiplicity; ``apery[0] == 0`` always.
-    """
+    k: np.ndarray
+    multiplicity: int = field(init=False)
+    genus: int = field(init=False)
+    conductor: int = field(init=False)
+    frobenius: int = field(init=False)
 
-    multiplicity: int
-    apery: tuple[int, ...]
-    genus: int
-    conductor: int
-    frobenius: int
+    def __post_init__(self) -> None:
+        k = np.asarray(self.k).view()
+        k.flags.writeable = False
+        m = len(k)
+        r = m - 1 - int(np.argmax(k[::-1]))  # the largest Apery element's residue
+        conductor = 1 + r + m * int(k[r]) - m
+        for name, value in (("k", k), ("multiplicity", m), ("genus", int(k.sum())),
+                            ("conductor", conductor), ("frobenius", conductor - 1)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SemigroupProfile) and np.array_equal(self.k, other.k)
+
+    @property
+    def apery(self) -> tuple[int, ...]:
+        """The Apery set in residue order, apery[r] = r + m*k[r]."""
+        apery = self.k * self.multiplicity
+        apery += np.arange(self.multiplicity)
+        return tuple(apery.tolist())
 
     @classmethod
     def from_apery(cls, apery: Iterable[int]) -> "SemigroupProfile":
-        ap = tuple(apery)
+        """The profile of an Apery array in normal form, entry 0 zero and entry r
+        congruent to r mod m; raises :class:`NotClosed` naming the first residue off it."""
+        ap = list(apery)
         m = len(ap)
-        genus = sum(a // m for a in ap)
-        conductor = 1 + max(ap) - m
-        return cls(m, ap, genus, conductor, conductor - 1)
+        fits = -(2**63) <= min(ap) and max(ap) < 2**63
+        k = np.array(ap, dtype=np.int64 if fits else object)
+        bad = k % m != np.arange(m)
+        bad[0] = ap[0] != 0
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise NotClosed(f"residue {r} holds {ap[r]}: not in Apery normal form for m = {m}")
+        return cls(k // m)  # (a - r) // m, as r < m
+
+    def blocks(self, size: int) -> Iterator[np.ndarray]:
+        """The gaps in increasing order, as int64 arrays of at most ``size``
+        values, never all at once.  Row j holds r + j*m for the residues r,
+        in order, with k[r] > j: those of row j - 1 that remain."""
+        m = self.multiplicity
+        alive = np.arange(m)
+        for j in range(int(self.k.max())):
+            alive = alive[self.k[alive] > j]
+            for i in range(0, alive.size, size):
+                yield alive[i:i + size] + j * m
 
 
 @dataclass(frozen=True)
@@ -110,21 +149,15 @@ class GapSet:
         g = self.gaps
         if not all(map(operator.lt, g, islice(g, 1, None))):
             raise ValueError("gaps must be strictly increasing")
-        if self.gaps:
-            if self.gaps[0] < 1:
-                raise ValueError("0 cannot be a gap")
-            if self.gaps[-1] >= self.bound:
-                raise ValueError("all gaps must lie below the bound")
+        if g and g[0] < 1:
+            raise ValueError("0 cannot be a gap")
+        if g and g[-1] >= self.bound:
+            raise ValueError("all gaps must lie below the bound")
 
 
 def normalize_generators(raw: Iterable[int]) -> GeneratorSet:
     """Sort, deduplicate and validate a raw list of generators."""
-    values = sorted(set(raw))
-    if not values:
-        raise EmptyInput("generator set is empty")
-    if values[0] < 1:
-        raise ValueError(f"generators must be positive, got {values[0]}")
-    return GeneratorSet(tuple(values))
+    return GeneratorSet(tuple(sorted(set(raw))))
 
 
 def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
@@ -147,8 +180,6 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     """
     gens = gen_set.gens
     m = gens[0]
-    if m == 1:
-        return SemigroupProfile(1, (0,), 0, 0, -1)
     unreached = (m - 1) * gens[-1] + 1
     fits = unreached + m * gens[-1] <= np.iinfo(np.int64).max
     dist = np.full(m, unreached, dtype=np.int64 if fits else object)
@@ -164,9 +195,8 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     top = int(dist.max())
     if top > U64_MAX:
         raise Overflow(f"Apery element exceeds 64 bits at residue {top % m}")
-    conductor = 1 + top - m
-    return SemigroupProfile(m, tuple(dist.tolist()), int((dist // m).sum()),
-                            conductor, conductor - 1)
+    dist //= m  # k[r] = (D[r] - r) // m, as r < m
+    return SemigroupProfile(dist)
 
 
 def _relax(best: np.ndarray, dist: np.ndarray, w: int, scratch: np.ndarray) -> None:
@@ -180,47 +210,14 @@ def _relax(best: np.ndarray, dist: np.ndarray, w: int, scratch: np.ndarray) -> N
 
 
 def contains(p: SemigroupProfile, n: int) -> bool:
-    """Membership test: n belongs to the semigroup iff n >= apery[n mod m]."""
-    if n < 0:
-        return False
-    return n >= p.apery[n % p.multiplicity]
+    """Membership test: n belongs to the semigroup iff n div m >= k[n mod m]."""
+    return n >= 0 and bool(n // p.multiplicity >= p.k[n % p.multiplicity])
 
 
 def gaps_of(p: SemigroupProfile) -> GapSet:
-    """All gaps of the semigroup, from :class:`KunzGaps`."""
-    return GapSet(tuple(KunzGaps.of(p).array().tolist()), p.conductor)
-
-
-@dataclass(frozen=True)
-class KunzGaps:
-    """The gaps of a numerical semigroup in Kunz coordinates: residue r
-    modulo m = len(k) holds the k[r] gaps r + j*m, j < k[r], below its Apery
-    element r + m*k[r].  ``len`` is the genus."""
-
-    k: np.ndarray
-
-    @classmethod
-    def of(cls, p: SemigroupProfile) -> "KunzGaps":
-        m = p.multiplicity
-        return cls((np.asarray(p.apery, dtype=np.int64) - np.arange(m)) // m)
-
-    def __len__(self) -> int:
-        return int(self.k.sum())
-
-    def blocks(self, size: int) -> Iterator[np.ndarray]:
-        """The gaps in increasing order, as int64 arrays of at most ``size``
-        values, never all at once.  Row j holds r + j*m for the residues r,
-        in order, with k[r] > j: those of row j - 1 that remain."""
-        m = len(self.k)
-        alive = np.arange(m)
-        for j in range(int(self.k.max())):
-            alive = alive[self.k[alive] > j]
-            for i in range(0, alive.size, size):
-                yield alive[i:i + size] + j * m
-
-    def array(self) -> np.ndarray:
-        """Every gap, in order, as one int64 array."""
-        return np.concatenate([np.empty(0, dtype=np.int64), *self.blocks(len(self.k))])
+    """All gaps of the semigroup, from its Kunz coordinates."""
+    gaps = np.concatenate([np.empty(0, dtype=np.int64), *p.blocks(p.multiplicity)])
+    return GapSet(tuple(gaps.tolist()), p.conductor)
 
 
 def is_symmetric(p: SemigroupProfile) -> bool:
@@ -258,7 +255,7 @@ def verify_cofinite_complement(gs: GapSet) -> bool:
 
 def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     """Minimal generating set, found and certified by the tight edges of
-    the Apery array D = ``p.apery``.
+    the Apery array D[r] = r + m*k[r].
 
     Hold best[r] = min over the generators g found so far of
     D[(r - g) mod m] + g; the multiplicity m contributes D + m.  Walk the
@@ -275,8 +272,8 @@ def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     is not above m.
     """
     m = p.multiplicity
-    fits = 2 * max(p.apery) <= np.iinfo(np.int64).max
-    dist = np.array(p.apery, dtype=np.int64 if fits else object)
+    fits = 2 * (p.conductor - 1 + m) <= np.iinfo(np.int64).max  # twice the largest D[r]
+    dist = (np.arange(m) + m * p.k).astype(np.int64 if fits else object, copy=False)
     best, scratch = dist + m, np.empty_like(dist)
     order = np.argsort(dist[1:]) + 1
     if m > 1 and dist[order[0]] <= m:
@@ -291,5 +288,5 @@ def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     if not np.array_equal(best, dist):
         r = int(np.argmax(best != dist))
         raise NotClosed(f"generators reach {best[r]} at residue {r}, where the "
-                        f"Apery set has {p.apery[r]}: not closed under addition")
+                        f"Apery set has {dist[r]}: not closed under addition")
     return tuple(gens)

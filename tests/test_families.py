@@ -127,7 +127,7 @@ def test_enumerate_values_matches_enumerate_all(s, request):
     assert counts == {fid: sum(r.family is fid for r in records) for fid in FamilyId}
 
 
-def test_gap_bitset_guards(p1, monkeypatch):
+def test_kunz_counts_guards(p1, monkeypatch):
     limit = 2 * p1.genus
     real = fam._family_rows
 
@@ -170,7 +170,7 @@ def test_gap_bitset_guards(p1, monkeypatch):
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_gap_mask_matches_scatter_oracle(s, request):
+def test_kunz_counts_match_scatter_oracle(s, request):
     # k against the least member of each residue column of the oracle's
     # marks, padded with members past 2g + m
     p = request.getfixturevalue(f"p{s}")
@@ -224,7 +224,7 @@ def _overrun_f5(rows):
     (FamilyId.F3, _shift_f3, DuplicateGap),
     (FamilyId.F5, _overrun_f5, RuntimeError),
 ])
-def test_gap_mask_mutations_match_scatter_oracle(fid, mutate, error, p2, monkeypatch):
+def test_kunz_counts_mutations_match_scatter_oracle(fid, mutate, error, p2, monkeypatch):
     real = fam._family_rows
     monkeypatch.setattr(fam, "_family_rows",
                         lambda p, f: mutate(real(p, f)) if f is fid else real(p, f))
@@ -234,7 +234,7 @@ def test_gap_mask_mutations_match_scatter_oracle(fid, mutate, error, p2, monkeyp
         fam.kunz_counts(p2)
 
 
-def test_gap_mask_peak_memory(p3):
+def test_kunz_counts_peak_memory(p3):
     # the counts come from the 17,992 rows and arrays over the m = 16,368
     # residues, 3.9 MiB at s = 3, never from the million expanded int64
     # values of the oracle or an array over [0, 2g)
@@ -325,6 +325,21 @@ def test_closure_violation_detected(p1, monkeypatch):
 
     monkeypatch.setattr(fam, "kunz_counts", corrupted)
     with pytest.raises(NotClosed):
+        fam.generic_semigroup(p1)
+
+
+def test_genus_mismatch_detected(p1, monkeypatch):
+    real = fam.kunz_counts
+
+    def raised(p):
+        # one more gap in residue 5: the Apery set moves up there by m, and
+        # the profile's genus no longer matches the curve's
+        k, counts = real(p)
+        k[5] += 1
+        return k, counts
+
+    monkeypatch.setattr(fam, "kunz_counts", raised)
+    with pytest.raises(RuntimeError, match="^complement profile has genus 197, expected 196$"):
         fam.generic_semigroup(p1)
 
 

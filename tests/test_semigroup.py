@@ -20,7 +20,6 @@ from skabelund import (
     profile_from_generators,
     verify_cofinite_complement,
 )
-from skabelund.semigroup import KunzGaps
 
 from oracles import (
     closed_apery,
@@ -101,12 +100,12 @@ def test_kunz_gap_blocks(size):
     # the gaps in blocks of at most ``size``, in the order and with the
     # values of the sieve
     gens = [40, 50, 60, 64, 65]
-    gaps = KunzGaps.of(profile_of(*gens))
-    blocks = list(gaps.blocks(size))
+    p = profile_of(*gens)
+    blocks = list(p.blocks(size))
     assert all(1 <= len(b) <= size for b in blocks)
     assert np.concatenate(blocks).tolist() == sieve_gaps(gens, sieve_window(gens))
-    assert len(gaps) == 196
-    assert len(KunzGaps.of(profile_of(1))) == 0 and list(KunzGaps.of(profile_of(1)).blocks(size)) == []
+    assert p.genus == 196
+    assert profile_of(1).genus == 0 and list(profile_of(1).blocks(size)) == []
 
 
 def test_is_symmetric():
@@ -194,6 +193,12 @@ def test_apery_structure_random():
         assert len(gaps) == p.genus
         if p.genus:
             assert gaps[-1] == p.frobenius
+        # k is read-only, membership is the sieve's, and the blocks are the gaps
+        with pytest.raises(ValueError):
+            p.k[rng.randrange(m)] = 1
+        window = sieve_window(gens)
+        assert [contains(p, n) for n in range(window)] == list(map(bool, sieve_members(gens, window)))
+        assert [v for b in p.blocks(rng.randint(1, 50)) for v in b.tolist()] == list(gaps)
 
 
 def test_engine_matches_sieve_random():
@@ -219,6 +224,18 @@ def test_minimal_generators_reject_unclosed_apery_set():
     # closed, but <2, 3> has multiplicity 2: not its Apery set for m = 3
     with pytest.raises(NotClosed, match="residue 2"):
         minimal_generators(SemigroupProfile.from_apery((0, 4, 2)))
+
+
+def test_from_apery_rejects_non_normal_form():
+    # entry 0 must be 0 and entry r congruent to r: k cannot hold anything else
+    with pytest.raises(NotClosed, match="^residue 0 holds 3: not in Apery normal form for m = 3$"):
+        SemigroupProfile.from_apery((3, 4, 5))
+    with pytest.raises(NotClosed, match="^residue 1 holds 5: not in Apery normal form for m = 3$"):
+        SemigroupProfile.from_apery((0, 5, 4))
+    with pytest.raises(NotClosed, match="^residue 2 holds 4: "):
+        SemigroupProfile.from_apery((0, 2**64, 4))
+    assert SemigroupProfile.from_apery((0, 4, 5)).k.tolist() == [0, 1, 1]
+    assert SemigroupProfile.from_apery((0, 2**64, 2**64 + 1)).k.tolist() == [0, 2**64 // 3, 2**64 // 3]
 
 
 def test_minimal_generators_regenerate():
@@ -257,14 +274,15 @@ def test_minimal_generators_certify_corrupted_profiles():
         if rng.random() < 0.5:
             apery[r] += rng.choice((-2, -1, 1, 2)) * m
         else:
+            # not in Apery normal form: from_apery raises
             apery[r], apery[t] = apery[t], apery[r]
-        p = SemigroupProfile.from_apery(apery)
         if closed_apery(m, apery):
+            p = SemigroupProfile.from_apery(apery)
             assert list(minimal_generators(p)) == sieve_minimal_generators([m] + apery[1:])
         else:
             raised += 1
             with pytest.raises(NotClosed):
-                minimal_generators(p)
+                minimal_generators(SemigroupProfile.from_apery(apery))
     assert 0 < raised < 1000
 
 
