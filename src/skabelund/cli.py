@@ -4,7 +4,7 @@ reference count table, and the cross-verification suite.
 Output formats: human-aligned text (default), deterministic JSON
 (``--format json``), and CSV for tabular payloads (``--format csv``).
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
-unwritable ``--out`` path), 3 internal arithmetic error or exhausted memory.
+unwritable ``--out`` path), 3 internal error or exhausted memory.
 """
 
 from __future__ import annotations
@@ -67,37 +67,29 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     payload: dict = {"s": p.s, "q0": p.q0, "q": p.q, "genus": p.genus,
                      "point": point, "emit": emit}
 
-    if point == "generic":
-        if emit == "gaps":
-            k, _ = families.kunz_counts(p)  # RuntimeError, DuplicateGap or NotClosed on a bad row
-            if witnesses:
-                table = families.witness_table(p)
-                table.require_valid()
-                payload["gaps"] = table  # rendered record by record, see _witness_blocks
-            else:
-                payload["gaps"] = semigroup.SemigroupProfile(k)
-        else:
-            generic = families.generic_semigroup(p)
-            if emit == "stats":
-                payload["stats"] = asdict(semigroup.SemigroupStats.from_profile(generic.profile))
-            elif emit == "apery":
-                m = generic.profile.multiplicity
-                payload["apery"] = np.sort(np.arange(m) + m * generic.profile.k)
-            else:
-                payload["generators"] = list(generic.generators)
-        return payload, 0
-
-    if emit == "generators":
-        gens = curve.rational_generators(p) if point == "rational" else curve.quartic_generators(p)
-        payload["generators"] = list(gens.gens)
-    elif emit == "stats":
-        stats_of = curve.rational_apery_stats if point == "rational" else curve.quartic_apery_stats
-        payload["stats"] = asdict(stats_of(p))
-    elif emit == "apery":
-        payload["apery"] = np.sort(curve.special_apery(p, point))
+    if point == "generic" and emit != "gaps":
+        generic = families.generic_semigroup(p)
+        profile, gens = generic.profile, generic.generators
+        stats = semigroup.SemigroupStats.from_profile(profile)
+    elif point == "generic":  # RuntimeError on a bad row end or genus, DuplicateGap or NotClosed
+        profile, _ = families.generic_profile(p)
+    elif emit in ("apery", "gaps"):
+        profile = curve.special_profile(p, point)
+    elif emit == "generators":
+        gens = (curve.rational_generators if point == "rational" else curve.quartic_generators)(p).gens
     else:
-        apery = curve.special_apery(p, point)
-        payload["gaps"] = semigroup.SemigroupProfile(apery // len(apery))  # k = (D - r) // m
+        stats = (curve.rational_apery_stats if point == "rational" else curve.quartic_apery_stats)(p)
+
+    if witnesses:
+        table = families.witness_table(p)
+        table.require_valid()
+        payload["gaps"] = table  # rendered record by record, see _witness_blocks
+    elif emit == "gaps":
+        payload["gaps"] = profile  # streamed from its Kunz coordinates, see _pieces
+    elif emit == "apery":
+        payload["apery"] = np.sort(profile.apery_array())
+    else:
+        payload[emit] = list(gens) if emit == "generators" else asdict(stats)
     return payload, 0
 
 
@@ -142,12 +134,11 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
                    for point, prof in special.items()]
         checks += [_check(f"{point}_symmetric", s, prof.conductor == 2 * p.genus,
                           prof.conductor, 2 * p.genus) for point, prof in special.items()]
-        checks += [_check(f"{point}_apery_agreement", s,
-                          np.array_equal(curve.special_apery(p, point) // prof.multiplicity, prof.k),
-                          "closed-form set", "shortest-path set")
-                   for point, prof in special.items()]
+        closed = {point: curve.special_profile(p, point) for point in special}
+        checks += [_check(f"{point}_apery_agreement", s, closed[point] == prof,
+                          "closed-form set", "shortest-path set") for point, prof in special.items()]
 
-        offs = curve.phi_values(p, np.arange(curve.quartic_multiplicity(p)))
+        offs = closed["quartic"].k  # phi(i) for every index i < g0
         head = offs[: (p.q - 1) ** 2 + 1]
         anti_ok = bool((head + head[::-1] == p.q - 1).all())
         checks.append(_check("phi_antisymmetry", s, anti_ok, "all indices", "q - 1"))
@@ -400,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedS, UnsupportedCombination, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SkabelundError, MemoryError) as exc:
+    except (SkabelundError, RuntimeError, MemoryError) as exc:
         print(f"internal error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 3
 

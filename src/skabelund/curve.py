@@ -11,8 +11,8 @@ special classes in closed form:
   and an Apery set {phi(i) * g0 + i} driven by the piecewise map phi.
 
 Each Apery set is written once, as a table of cells that the summary
-statistics sum in closed form and that :func:`special_apery` expands by
-residue.  Generic points are handled in :mod:`skabelund.families`.
+statistics sum in closed form and that :func:`special_profile` expands
+into Kunz coordinates.  Generic points are handled in :mod:`skabelund.families`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DuplicateResidue, OutOfDomain, SumMismatch, UnsupportedS
-from .semigroup import GeneratorSet, SemigroupStats
+from .semigroup import GeneratorSet, SemigroupProfile, SemigroupStats
 
 S_MAX = 6  # keeps every derived quantity (~q^3) far inside 64 bits
 
@@ -82,7 +82,7 @@ def rational_generators(p: CurveParams) -> GeneratorSet:
 def rational_apery(p: CurveParams) -> frozenset[int]:
     """Apery set at a rational point: all sums h*g1 + i*g2 + j*g3 + k*g4
     over the box 0<=h<=1, 0<=i<=q0-1, 0<=j<=q-2q0, 0<=k<=q0-1."""
-    return frozenset(special_apery(p, "rational").tolist())
+    return frozenset(special_profile(p, "rational").apery_array().tolist())
 
 
 def quartic_generators(p: CurveParams) -> GeneratorSet:
@@ -147,7 +147,7 @@ def phi(p: CurveParams, i: int) -> int:
 
 def quartic_apery(p: CurveParams) -> frozenset[int]:
     """Apery set at a quartic point: {phi(i)*g0 + i | 0 <= i < g0}."""
-    return frozenset(special_apery(p, "quartic").tolist())
+    return frozenset(special_profile(p, "quartic").apery_array().tolist())
 
 
 @lru_cache(maxsize=None)
@@ -258,9 +258,9 @@ def _cell_sums(cells: np.ndarray) -> tuple[int, int, int]:
     return int(rows.sum()), sum(sums.tolist()), top  # the sum passes 2^63 at s = 6
 
 
-def special_apery(p: CurveParams, point: str) -> np.ndarray:
-    """The Apery set of the "rational" or "quartic" class as one int64 array
-    indexed by residue; its quotient by m is the Kunz vector (phi, if quartic).
+def special_profile(p: CurveParams, point: str) -> SemigroupProfile:
+    """The profile of the "rational" or "quartic" class: k[r] = a_r div m for
+    the closed-form Apery element a_r of residue r (k is phi, if quartic).
 
     A repeated residue is named at its first repeat in expansion order, and
     the elements must pass the checks of ``_stats``; either failure means a
@@ -277,9 +277,10 @@ def special_apery(p: CurveParams, point: str) -> np.ndarray:
         raise DuplicateResidue(f"residue {residues[at]} hit twice at value {vals[at]}")
     total = sum(int(part.sum()) for part in np.array_split(vals, 64))  # exact up to s = 6
     _stats(p, m, vals.size, total, int(vals.max(initial=0)))
-    apery = np.empty_like(vals)
-    apery[residues] = vals
-    return apery
+    vals //= m
+    k = np.empty_like(vals)
+    k[residues] = vals
+    return SemigroupProfile(k)
 
 
 def _stats(p: CurveParams, m: int, count: int, total: int, top: int) -> SemigroupStats:
@@ -301,14 +302,14 @@ def _stats(p: CurveParams, m: int, count: int, total: int, top: int) -> Semigrou
 def phi_values(p: CurveParams, idx: np.ndarray) -> np.ndarray:
     """Vectorised ``phi`` over an int64 index array inside [0, g0).
 
-    It builds the whole quartic Apery set, all of [0, g0), and reads
-    phi(i) = a_i // g0 off it, so it costs O(g0) whatever the size of idx.
+    It builds the whole quartic profile, all of [0, g0), and reads
+    phi(i) = k[i] off it, so it costs O(g0) whatever the size of idx.
     """
     g0 = quartic_multiplicity(p)
     bad = idx[(idx < 0) | (idx >= g0)]
     if bad.size:
         raise OutOfDomain(f"phi index {bad[0]} outside 0..{g0 - 1}")
-    return special_apery(p, "quartic")[idx] // g0
+    return special_profile(p, "quartic").k[idx]
 
 
 def rational_apery_stats(p: CurveParams) -> SemigroupStats:

@@ -117,17 +117,17 @@ class _Rows:
     """The progression rows of one family, as int64 columns.
 
     Row i holds ``length[i]`` values.  Its exponents start at
-    ``start[:, i]`` (in ``_COLUMNS`` order) and move by (da4, df) in
-    (a4, f) per step, so its value starts at ``value[i]`` and moves by
-    ``step`` = da4*q + df*q^2.
+    ``start[:, i]`` (in ``_COLUMNS`` order; None unless asked for) and
+    move by (da4, df) in (a4, f) per step, so its value starts at
+    ``value[i]`` and moves by ``step`` = da4*q + df*q^2.
     """
 
-    start: np.ndarray
     length: np.ndarray
     value: np.ndarray
     da4: int
     df: int
     step: int
+    start: np.ndarray | None = None
 
 
 def _grid(keep, **axes: int) -> dict[str, np.ndarray]:
@@ -141,9 +141,9 @@ def _grid(keep, **axes: int) -> dict[str, np.ndarray]:
     return {k: v[mask] for k, v in cols.items()}
 
 
-def _family_rows(p: CurveParams, fid: FamilyId) -> _Rows:
+def _family_rows(p: CurveParams, fid: FamilyId, params: bool = False) -> _Rows:
     """The one description of each family: outer index ranges, sigma, the
-    a4 cap and the value offset."""
+    a4 cap and the value offset; the exponent columns only for ``params``."""
     q0, q = p.q0, p.q
     qq = q * q
     if fid is FamilyId.F1:
@@ -187,10 +187,12 @@ def _family_rows(p: CurveParams, fid: FamilyId) -> _Rows:
         outer = np.flatnonzero(length > 0)
         a4, f, length = np.zeros(len(outer), dtype=np.int64), budget[outer], length[outer]
         da4, df = 1, -1
-    cols = {**{k: v[outer] for k, v in t.items()}, "a4": a4, "f": f}
-    start = np.stack([cols.get(k, np.zeros_like(a4)) for k in _COLUMNS])
     value = (offset + a1 + a2 * q0 + a3 * 2 * q0)[outer] + a4 * q + f * qq
-    return _Rows(start, length, value, da4, df, da4 * q + df * qq)
+    start = None
+    if params:
+        cols = {**{k: v[outer] for k, v in t.items()}, "a4": a4, "f": f}
+        start = np.stack([cols.get(k, np.zeros_like(a4)) for k in _COLUMNS])
+    return _Rows(length, value, da4, df, da4 * q + df * qq, start)
 
 
 def _steps(length: np.ndarray) -> np.ndarray:
@@ -210,7 +212,7 @@ def _expand(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
 def _family_params(p: CurveParams, fid: FamilyId) -> tuple[np.ndarray, np.ndarray]:
     """The values of one family in loop order, and their FamilyParams fields
     (a1, a2, a3, a4, f, n, c, d, sigma, nu) as ten rows of columns."""
-    rows = _family_rows(p, fid)
+    rows = _family_rows(p, fid, params=True)
     values, k = _expand(rows)
     cols = np.repeat(rows.start, rows.length, axis=1)
     cols[3] += k * rows.da4
@@ -377,22 +379,25 @@ class GenericSemigroup:
 
 
 def generic_semigroup(p: CurveParams) -> GenericSemigroup:
-    """The semigroup at a generic point: complement C of the six families.
-
-    Its Apery set is D[r] = r + m*k[r] for the Kunz coordinates k of
-    :func:`kunz_counts`, which also shows that each residue's gaps are
-    exactly those below D[r]: C is the set that D describes.  C is closed
+    """The semigroup at a generic point: complement C of the six families,
+    whose Kunz coordinates k (:func:`generic_profile`) show that each
+    residue's gaps are exactly those below D[r] = r + m*k[r].  C is closed
     under addition, with multiplicity m, iff its minimal generators reach
-    every Apery element by a tight edge and every D[r], r > 0, lies above m
-    (:func:`minimal_generators`, which raises NotClosed otherwise).
-    """
+    every D[r] by a tight edge and each D[r], r > 0, lies above m
+    (:func:`minimal_generators`, which raises NotClosed otherwise)."""
     if p.s > 4:
         raise UnsupportedS("generic-point semigroups are supported for s <= 4")
+    profile, counts = generic_profile(p)
+    return GenericSemigroup(profile, counts, minimal_generators(profile))
+
+
+def generic_profile(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
+    """:func:`kunz_counts` as a profile, and the counts; RuntimeError unless sum(k) is the genus."""
     k, counts = kunz_counts(p)
     profile = SemigroupProfile(k)
     if profile.genus != p.genus:
         raise RuntimeError(f"complement profile has genus {profile.genus}, expected {p.genus}")
-    return GenericSemigroup(profile, counts, minimal_generators(profile))
+    return profile, counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
-"""General numerical-semigroup engine based on Apery sets.
+"""General numerical-semigroup engine in Kunz coordinates.
 
 A numerical semigroup is a subset of the naturals containing 0, closed
-under addition, with finite complement.  Everything here is driven by the
-Apery set: for each residue class modulo the multiplicity m (the smallest
-positive element), the least semigroup element in that class.  The Apery
-set is the single-source shortest-path vector of the residue graph Z/mZ,
-where each generator g contributes edges r -> (r + g) mod m of weight g
-(Boecker & Liptak, Algorithmica 48, 2007).  It is built one generator at
-a time by min-plus doubling, a few shifted adds and mins over the
-residues per generator, in m * sum(ceil(log2(uses + 1))) with no heap,
-where uses bounds how often one generator can lie on a shortest path.
-The minimal generators of a given Apery array, and whether it describes
-a set closed under addition, come from the reduced-cost optimality
-conditions of shortest paths (Ahuja, Magnanti & Orlin, "Network Flows",
-1993, ch. 5): each generator's edges are tested against the array
-itself, by the same shifted add and min, with no new path computed.
-A profile holds the Kunz coordinates k (Kunz 1987; Rosales & Garcia-Sanchez
-2009): k[r] gaps lie in residue r, whose Apery element is r + m*k[r].  The
-rest follows by direct arithmetic:
+under addition, with finite complement.  Modulo its multiplicity m (the
+smallest positive element), residue r holds k[r] gaps, below its Apery
+element r + m*k[r], the least semigroup element of r; k is the Kunz vector
+(Kunz 1987; Rosales & Garcia-Sanchez 2009), and everything here runs on
+it.  The Apery set is the shortest-path vector of the residue graph Z/mZ,
+where each generator g gives edges r -> (r + g) mod m of weight g (Boecker
+& Liptak, Algorithmica 48, 2007); on k, an edge of weight w adds w div m,
+plus one where it wraps past m.  k is built one generator at a time by
+min-plus doubling, a few shifted adds and mins over the residues per
+generator, in m * sum(ceil(log2(uses + 1))) with no heap, where uses
+bounds how often one generator can lie on a shortest path.  The minimal
+generators of a profile, and whether it is closed under addition, come
+from the reduced-cost optimality conditions of shortest paths (Ahuja,
+Magnanti & Orlin, "Network Flows", 1993, ch. 5): each generator's edges
+are tested against k itself by the same shifted add and min.  The rest
+follows by direct arithmetic:
 
     n in S          iff  n div m >= k[n mod m]
     gaps            =    r + j*m for every r and j < k[r]
@@ -72,24 +71,27 @@ class SemigroupProfile:
     frobenius: int = field(init=False)
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.k).view()
+        k = np.asarray(self.k)
+        m, top = len(k), _largest(k)
+        k = k.astype(np.int64 if top < 2**63 else object, copy=False).view()
         k.flags.writeable = False
-        m = len(k)
-        r = m - 1 - int(np.argmax(k[::-1]))  # the largest Apery element's residue
-        conductor = 1 + r + m * int(k[r]) - m
         for name, value in (("k", k), ("multiplicity", m), ("genus", int(k.sum())),
-                            ("conductor", conductor), ("frobenius", conductor - 1)):
+                            ("conductor", 1 + top - m), ("frobenius", top - m)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SemigroupProfile) and np.array_equal(self.k, other.k)
 
-    @property
-    def apery(self) -> tuple[int, ...]:
-        """The Apery set in residue order, apery[r] = r + m*k[r]."""
+    def apery_array(self) -> np.ndarray:
+        """The Apery set in residue order, r + m*k[r], in the dtype of k."""
         apery = self.k * self.multiplicity
         apery += np.arange(self.multiplicity)
-        return tuple(apery.tolist())
+        return apery
+
+    @property
+    def apery(self) -> tuple[int, ...]:
+        """:meth:`apery_array` as a tuple of Python ints."""
+        return tuple(self.apery_array().tolist())
 
     @classmethod
     def from_apery(cls, apery: Iterable[int]) -> "SemigroupProfile":
@@ -161,52 +163,53 @@ def normalize_generators(raw: Iterable[int]) -> GeneratorSet:
 
 
 def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
-    """Compute the Apery set of <gens> as shortest paths, by doubling.
+    """Compute the Kunz coordinates of <gens> as shortest paths, by doubling.
 
     Start from <m>, m = min(gens), and add the other generators one at a
-    time.  With D the Apery array so far, adding a gives
-    D'[r] = min over j >= 0 of D[(r - j*a) mod m] + j*a.  Only j with
-    j*a <= max(D) and j < m / gcd(a, m) can improve an entry; call the
-    largest such j uses.  Starting from E = D, each :func:`_relax` pass
-    E = min(E, shift(E, 2**i * a) + 2**i * a) doubles the j covered, so
+    time.  With D[r] = r + m*k[r], adding a gives D'[r] = min over j >= 0
+    of D[(r - j*a) mod m] + j*a.  Only j with j*a <= max(D) and
+    j < m / gcd(a, m) can improve an entry; call the largest such j uses.
+    Each :func:`_relax` pass with w = 2**i * a doubles the j covered, so
     ceil(log2(uses + 1)) passes over m add a.
 
-    Every Apery element is a sum of at most m - 1 generators, so the
-    "unreached" sentinel (m - 1) * max(gens) + 1 lies above them all.
-    Every value formed is at most 2 * max(D) <= 2 * unreached <=
-    unreached + m * max(gens), so the array is int64 when that fits and
-    holds Python ints otherwise.  Raises :class:`Overflow` when an Apery
-    element exceeds 64 bits unsigned.
+    Every Apery element is a sum of at most m - 1 generators, below
+    m * max(gens): the "unreached" sentinel k = max(gens) lies above them
+    all, and keeps uses at m / gcd(a, m) - 1 while it remains.  As
+    w <= max(D), every k formed is at most 2 * max(gens) + 1: int64 when
+    that fits, Python ints otherwise.  Raises :class:`Overflow` when an
+    Apery element exceeds 64 bits unsigned.
     """
-    gens = gen_set.gens
-    m = gens[0]
-    unreached = (m - 1) * gens[-1] + 1
-    fits = unreached + m * gens[-1] <= np.iinfo(np.int64).max
-    dist = np.full(m, unreached, dtype=np.int64 if fits else object)
-    dist[0] = 0
-    scratch = np.empty_like(dist)
+    gens, m = gen_set.gens, gen_set.gens[0]
+    fits = 2 * gens[-1] + 1 <= np.iinfo(np.int64).max
+    k = np.full(m, gens[-1], dtype=np.int64 if fits else object)
+    k[0] = 0
+    scratch = np.empty_like(k)
     for a in gens[1:]:
-        uses = min(int(dist.max()) // a, m // math.gcd(a, m) - 1)
-        span = 1
-        while span <= uses:
-            _relax(dist, dist, span * a, scratch)
-            span *= 2
+        uses = min(_largest(k) // a, m // math.gcd(a, m) - 1)
+        for i in range(uses.bit_length()):
+            _relax(k, k, a << i, scratch)
     # gcd(gens) == 1 guarantees every residue class is reached.
-    top = int(dist.max())
+    top = _largest(k)
     if top > U64_MAX:
         raise Overflow(f"Apery element exceeds 64 bits at residue {top % m}")
-    dist //= m  # k[r] = (D[r] - r) // m, as r < m
-    return SemigroupProfile(dist)
+    return SemigroupProfile(k)
 
 
-def _relax(best: np.ndarray, dist: np.ndarray, w: int, scratch: np.ndarray) -> None:
-    """best[r] = min(best[r], dist[(r - w) mod m] + w) for every residue r:
-    two slice adds into ``scratch`` and one minimum in place."""
-    m = len(dist)
-    k = w % m
-    np.add(dist[:m - k], w, out=scratch[k:])
-    np.add(dist[m - k:], w, out=scratch[:k])
+def _relax(best: np.ndarray, k: np.ndarray, w: int, scratch: np.ndarray) -> None:
+    """best[r] = min(best[r], k[(r - w) mod m] + w div m + [r < w mod m]) for
+    every residue r: the edges of weight w, in Kunz coordinates.  Two slice
+    adds into ``scratch``, the carry on the wrapped one, and one minimum."""
+    m = len(k)
+    q, t = divmod(w, m)
+    np.add(k[:m - t], q, out=scratch[t:])
+    np.add(k[m - t:], q + 1, out=scratch[:t])
     np.minimum(best, scratch, out=best)
+
+
+def _largest(k: np.ndarray) -> int:
+    """max(r + m*k[r]) as a Python int, from the last residue holding max(k)."""
+    r = len(k) - 1 - int(np.argmax(k[::-1] == k.max()))  # no reversed copy of k
+    return r + len(k) * int(k[r])
 
 
 def contains(p: SemigroupProfile, n: int) -> bool:
@@ -255,38 +258,38 @@ def verify_cofinite_complement(gs: GapSet) -> bool:
 
 def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     """Minimal generating set, found and certified by the tight edges of
-    the Apery array D[r] = r + m*k[r].
+    the Apery set D[r] = r + m*k[r], in Kunz coordinates.
 
-    Hold best[r] = min over the generators g found so far of
-    D[(r - g) mod m] + g; the multiplicity m contributes D + m.  Walk the
-    nonzero Apery elements in increasing order, in windows [j*m, (j+1)*m).
-    An element w is a new minimal generator iff best[w mod m] > w.  Every
-    generator that could reach w lies below w - m, since the Apery element
-    it leaves from exceeds m, so an earlier window has applied it.
+    Hold best[r] = min over the generators g found so far of the k of
+    D[(r - g) mod m] + g; the multiplicity m contributes k + 1.  Walk the
+    nonzero Apery elements in increasing order (the stable order of k) in
+    windows of equal k.  An element w = r + m*k[r] is a new minimal
+    generator iff best[r] > k[r].  Every generator that could reach w lies
+    below w - m, since the Apery element it leaves from exceeds m, so an
+    earlier window has applied it.
 
-    The walk ends with best == D, taking best[0] = 0, exactly when D is the
+    The walk ends with best == k, taking best[0] = 0, exactly when D is the
     Apery set of a semigroup: D[0] = 0, no edge improves D, and every
     other residue has a tight in-edge, D[r] = D[r - g] + g, whose chain
     strictly falls to residue 0.  Otherwise it raises :class:`NotClosed`,
     naming the first residue where the two differ, or a residue whose entry
-    is not above m.
+    is not above m.  Values formed stay within 2 * max(k) + 1, in k's dtype.
     """
-    m = p.multiplicity
-    fits = 2 * (p.conductor - 1 + m) <= np.iinfo(np.int64).max  # twice the largest D[r]
-    dist = (np.arange(m) + m * p.k).astype(np.int64 if fits else object, copy=False)
-    best, scratch = dist + m, np.empty_like(dist)
-    order = np.argsort(dist[1:]) + 1
-    if m > 1 and dist[order[0]] <= m:
-        raise NotClosed(f"residue {order[0]} holds {dist[order[0]]}, not above m = {m}")
-    rows = dist[order] // m
+    m, k = p.multiplicity, p.k
+    best, scratch = k + 1, np.empty_like(k)
+    order = np.argsort(k[1:], kind="stable") + 1
+    if m > 1 and k[order[0]] <= 0:
+        r = int(order[0])
+        raise NotClosed(f"residue {r} holds {r + m * int(k[r])}, not above m = {m}")
+    rows = k[order]
     gens = [m]
     for window in np.split(order, np.flatnonzero(rows[1:] != rows[:-1]) + 1):
-        for w in dist[window[best[window] > dist[window]]].tolist():
-            gens.append(w)
-            _relax(best, dist, w, scratch)
+        for r in window[best[window] > k[window]].tolist():
+            gens.append(r + m * int(k[r]))
+            _relax(best, k, gens[-1], scratch)
     best[0] = 0
-    if not np.array_equal(best, dist):
-        r = int(np.argmax(best != dist))
-        raise NotClosed(f"generators reach {best[r]} at residue {r}, where the "
-                        f"Apery set has {dist[r]}: not closed under addition")
+    if not np.array_equal(best, k):
+        r = int(np.argmax(best != k))
+        raise NotClosed(f"generators reach {r + m * int(best[r])} at residue {r}, where the "
+                        f"Apery set has {r + m * int(k[r])}: not closed under addition")
     return tuple(gens)

@@ -263,6 +263,62 @@ def test_memory_error_exits_three(capsys, monkeypatch):
     assert err == "internal error: MemoryError: bool array of 2g entries\n"
 
 
+@pytest.mark.parametrize("emit", ["gaps", "stats"])
+def test_genus_mismatch_exits_three(emit, capsys, monkeypatch):
+    # one more gap in residue 5 than the families hold: the profile's genus
+    # is 197, the curve's 196, and neither report goes out
+    import skabelund.families as fam
+
+    real = fam.kunz_counts
+
+    def raised(p):
+        k, counts = real(p)
+        k[5] += 1
+        return k, counts
+
+    monkeypatch.setattr(fam, "kunz_counts", raised)
+    code, out, err = run(capsys, "semigroup", "--s", "1", "--point", "generic", "--emit", emit)
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: complement profile has genus 197, expected 196\n"
+
+
+def test_row_range_error_exits_three(capsys, monkeypatch):
+    # an F1 row at 2g = 392, past the last possible gap
+    import dataclasses
+
+    import skabelund.families as fam
+
+    real = fam._family_rows
+
+    def past_2g(p, fid, params=False):
+        rows = real(p, fid, params)
+        if fid is not FamilyId.F1:
+            return rows
+        return dataclasses.replace(rows, length=np.append(rows.length, 1),
+                                   value=np.append(rows.value, 2 * p.genus))
+
+    monkeypatch.setattr(fam, "_family_rows", past_2g)
+    code, out, err = run(capsys, "table1", "--max-s", "1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: gap value 392 outside [1, 392)\n"
+
+
+def test_verify_builds_each_closed_form_once(monkeypatch):
+    # the quartic profile feeds both its agreement check and phi
+    import skabelund.curve as curve
+
+    calls = []
+    real = curve.special_profile
+
+    def counted(p, point):
+        calls.append((p.s, point))
+        return real(p, point)
+
+    monkeypatch.setattr(curve, "special_profile", counted)
+    assert cmd_verify(1, 3)[1] == 0
+    assert calls == [(s, point) for s in (1, 2, 3) for point in ("rational", "quartic")]
+
+
 def test_unwritable_out_path_exits_two(capsys, tmp_path):
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, "params", "--s", "1", "--out", str(target))

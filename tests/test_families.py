@@ -135,8 +135,7 @@ def test_kunz_counts_guards(p1, monkeypatch):
         # each family becomes the rows (first value, length) on its own step
         def rows(p, fid):
             first, length = np.array(table.get(fid, []), dtype=np.int64).reshape(-1, 2).T
-            start = np.zeros((8, len(first)), dtype=np.int64)
-            return dataclasses.replace(real(p, fid), start=start, length=length, value=first)
+            return dataclasses.replace(real(p, fid), length=length, value=first)
         monkeypatch.setattr(fam, "_family_rows", rows)
 
     # 7 is no F1 value (its digit sum is too small for F2..F6), so the rows
@@ -235,16 +234,17 @@ def test_kunz_counts_mutations_match_scatter_oracle(fid, mutate, error, p2, monk
 
 
 def test_kunz_counts_peak_memory(p3):
-    # the counts come from the 17,992 rows and arrays over the m = 16,368
-    # residues, 3.9 MiB at s = 3, never from the million expanded int64
-    # values of the oracle or an array over [0, 2g)
+    # the counts come from the 17,992 rows (value and length, no exponent
+    # columns) and arrays over the m = 16,368 residues, 2.9 MiB at s = 3,
+    # never from the million expanded int64 values of the oracle or an
+    # array over [0, 2g)
     tracemalloc.start()
     try:
         fam.kunz_counts(p3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20
+    assert peak < 3.2 * 2**20
 
 
 def test_duplicated_row_names_first_repeat(p2, monkeypatch):
@@ -258,8 +258,7 @@ def test_duplicated_row_names_first_repeat(p2, monkeypatch):
         if fid is not FamilyId.F2:
             return rows
         idx = np.insert(np.arange(len(rows.length)), row, row)
-        return dataclasses.replace(rows, start=rows.start[:, idx],
-                                   length=rows.length[idx], value=rows.value[idx])
+        return dataclasses.replace(rows, length=rows.length[idx], value=rows.value[idx])
 
     monkeypatch.setattr(fam, "_family_rows", doubled)
     first = int(real(p2, FamilyId.F2).value[row])
@@ -355,8 +354,7 @@ def test_hole_in_complement_detected(s, request, monkeypatch):
         rows = real(p, fid)
         if fid is not FamilyId.F1:
             return rows
-        return dataclasses.replace(rows, start=np.pad(rows.start, ((0, 0), (0, 1))),
-                                   length=np.append(rows.length, 1),
+        return dataclasses.replace(rows, length=np.append(rows.length, 1),
                                    value=np.append(rows.value, 2 * m))
 
     monkeypatch.setattr(fam, "_family_rows", with_hole)

@@ -168,11 +168,28 @@ def test_engine_doubling_bound(m):
 
 
 def test_engine_doubling_bound_near_int64_limit():
-    # int64 path: every value formed stays below 2 * ((m - 1) * a + 1)
+    # int64 path: every k formed stays at most 2 * a + 1, and every Apery
+    # element below 2**63
     for m, a in ((3, 2**60 + 1), (5, 2**59 + 3)):
         p = profile_from_generators(GeneratorSet((m, a)))
         assert sorted(p.apery) == [j * a for j in range(m)]
         assert p.genus == sum(j * a // m for j in range(m))
+
+
+def test_int64_kunz_with_apery_past_int64():
+    # <5, 2**61 + 1>: k fits int64, but the Apery element 4 * (2**61 + 1)
+    # does not, so the profile holds k as Python ints however it is given
+    m, a = 5, 2**61 + 1
+    apery = [0] * m
+    for j in range(m):
+        apery[j * a % m] = j * a
+    engine = profile_from_generators(GeneratorSet((m, a)))
+    for p in (engine, SemigroupProfile(engine.k.astype(np.int64))):
+        assert p == engine
+        assert p.k.dtype == object
+        assert p.apery == tuple(apery)
+        assert p.conductor == 1 + 4 * a - m
+        assert minimal_generators(p) == (m, a)
 
 
 def test_apery_structure_random():
