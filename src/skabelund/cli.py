@@ -72,7 +72,7 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
         profile, gens = generic.profile, generic.generators
         stats = semigroup.SemigroupStats.from_profile(profile)
     elif point == "generic":  # RuntimeError on a bad row end or genus, DuplicateGap or NotClosed
-        profile, _ = families.generic_profile(p)
+        profile, _ = families.kunz_counts(p)
     elif emit in ("apery", "gaps"):
         profile = curve.special_profile(p, point)
     elif emit == "generators":
@@ -145,6 +145,7 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
         phi_sum = int(offs.sum())
         checks.append(_check("phi_sum_genus", s, phi_sum == p.genus, phi_sum, p.genus))
 
+        # family_disjointness and generic_genus report what kunz_counts certified by raising
         generic = families.generic_semigroup(p)
         total = sum(generic.counts.values())
         checks.append(_check("family_disjointness", s, generic.profile.genus == total,
@@ -174,11 +175,9 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # Rendering.
 
-def render(kind: str, payload: dict, fmt: str, out: TextIO | None = None) -> str | None:
-    """The report ``main`` writes: returned as one string, or, given a text
-    stream ``out``, written to it piece by piece, with no whole string built."""
-    if out is None:
-        return "".join(_pieces(kind, payload, fmt))
+def render(kind: str, payload: dict, fmt: str, out: TextIO) -> None:
+    """Write the report to the text stream ``out`` piece by piece, with no
+    whole string built."""
     out.writelines(_pieces(kind, payload, fmt))
 
 

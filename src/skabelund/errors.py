@@ -6,7 +6,7 @@ class SkabelundError(Exception):
 
 
 class EmptyInput(SkabelundError):
-    """A generator list was empty."""
+    """A generator list, Apery set or Kunz vector was empty."""
 
 
 class NonCoprime(SkabelundError):

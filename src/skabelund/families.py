@@ -11,8 +11,9 @@ and the exponents range over a family-specific constraint block.  Where a
 family fixes sigma, the exponent f is treated as the dependent variable
 and tuples that would force f < 0 are skipped.
 
-Each family is a table of arithmetic progressions (:func:`_family_rows`)
-whose rows share one step, q^2 for F1 and q - q^2 for F2..F6.  The
+Each family is written once (:func:`_family`) and laid out as a table of
+arithmetic progressions (:func:`_family_rows`) whose rows share one step,
+q^2 for F1 and q - q^2 for F2..F6.  The
 semigroup is the complement of the six families, and
 :func:`kunz_counts` reads its Kunz coordinates off the rows alone: the
 number k[r] of gaps in each residue r modulo the multiplicity m, which
@@ -25,12 +26,12 @@ with no array over [0, 2g).
 Every gap value v admits a witness: an exponent vector for a monomial in
 the building-block functions (see :func:`skabelund.curve.pole_order_table`)
 whose vanishing order at the point is v - 1 and whose total pole order at
-infinity stays within 2g - 2.  Witnesses certify the value is a gap.  Each
-family reads its witness seed off its parameters by one rule
-(:func:`_seeds`), applied to whole columns.  :func:`witness_table` is the
-record interface: it holds every gap with its family, parameters and seed
-as int64 columns in value order, and checks all of them with one matrix
-product against the building blocks.
+infinity stays within 2g - 2.  Witnesses certify the value is a gap.  A
+gap's witness is x^a1 y^a2 z^a3 w^a4 pi^f times the block monomial that
+:func:`_family` lists beside its offset.  :func:`witness_table` is the
+record interface: it holds every gap with its family, parameters and
+witness as int64 columns in value order, and checks all of them with one
+matrix product against the building blocks.
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ class _Rows:
     """The progression rows of one family, as int64 columns.
 
     Row i holds ``length[i]`` values.  Its exponents start at
-    ``start[:, i]`` (in ``_COLUMNS`` order; None unless asked for) and
-    move by (da4, df) in (a4, f) per step, so its value starts at
-    ``value[i]`` and moves by ``step`` = da4*q + df*q^2.
+    ``start[:, i]`` (``_COLUMNS``, then the witness's block exponents; None
+    unless asked for) and move by (da4, df) in (a4, f) per step, so its
+    value starts at ``value[i]`` and moves by ``step`` = da4*q + df*q^2.
     """
 
     length: np.ndarray
@@ -141,41 +142,55 @@ def _grid(keep, **axes: int) -> dict[str, np.ndarray]:
     return {k: v[mask] for k, v in cols.items()}
 
 
-def _family_rows(p: CurveParams, fid: FamilyId, params: bool = False) -> _Rows:
-    """The one description of each family: outer index ranges, sigma, the
-    a4 cap and the value offset; the exponent columns only for ``params``."""
+def _family(p: CurveParams, fid: FamilyId) -> tuple:
+    """The one block of each family, as the paper displays it: the grid of
+    outer index tuples, sigma (for F1 a cap on a1 + ... + f, with a4 cap
+    None; for the others the fixed sum), the a4 cap, the value offset, and
+    the block monomial of the witness, of valuation offset - 1, as (row,
+    exponent) pairs of arrays over the grid (:func:`_monomial`)."""
     q0, q = p.q0, p.q
-    qq = q * q
+    h, f1, f2, g = -1, 2 * q0 - 2, 2 * q0 - 1, 2 * q0  # h_n in row h + n, g_n in row g + n
     if fid is FamilyId.F1:
         t = _grid(None, a1=q0, a2=2, a3=q0)
-        sigma, a4cap, offset = q - 2, None, 1
+        sigma, a4cap, offset, mono = q - 2, None, 1, []
     elif fid is FamilyId.F2:
         t = _grid(lambda t: t["n"] >= 1, n=2 * q0 - 1, a1=q0, a2=2, a3=q0)
         n = t["n"]
-        sigma, a4cap, offset = q - q0 - 2 - n * q0 + n, q - q0 - 1 - n * q0, (n + 1) * q0 * q + 1
+        sigma, a4cap = q - q0 - 2 - n * q0 + n, q - q0 - 1 - n * q0
+        offset, mono = (n + 1) * q0 * q + 1, [(h + n, 1)]
     elif fid is FamilyId.F3:
         t = _grid(lambda t: t["a1"] < q0 - 1 - t["n"], n=q0 - 1, a1=q0, a2=2, a3=q0)
         n = t["n"]
-        sigma, a4cap, offset = q - q0 - 2 - 2 * n * q0 + n, q0 - 1, (2 * n + 1) * q0 * q + n + 2
+        sigma, a4cap = q - q0 - 2 - 2 * n * q0 + n, q0 - 1
+        offset, mono = (2 * n + 1) * q0 * q + n + 2, [(g + n, 1)]
     elif fid is FamilyId.F4:
         t = _grid(lambda t: t["a1"] < q0 - 2 - t["n"], n=q0 - 2, a1=q0, a2=2, a3=q0)
         n = t["n"]
-        sigma, a4cap, offset = q - 2 * q0 - 2 - 2 * n * q0 + n, q0 - 1, (2 * n + 2) * q0 * q + n + 3
+        sigma, a4cap = q - 2 * q0 - 2 - 2 * n * q0 + n, q0 - 1
+        offset, mono = (2 * n + 2) * q0 * q + n + 3, [(g, 1), (g + n, 1)]
     elif fid is FamilyId.F5:
         t = _grid(lambda t: (t["d"] >= 1 - t["c"]) & (t["a2"] < 2 - t["c"]) & (t["a3"] < q0 - t["d"]),
                   c=2, d=q0, a2=2, a3=q0)
         c, d = t["c"], t["d"]
         sigma, a4cap = q - 2 - 2 * d * q0 - c * q0, q0 - 1
-        offset = c * q0 * (q + 1) + d * (2 * q * q0 + 2 * q0 + 1) + 1
+        offset, mono = c * q0 * (q + 1) + d * (2 * q * q0 + 2 * q0 + 1) + 1, [(f1, c), (f2, d)]
     else:
         t = _grid(lambda t: t["a3"] <= t["n"], n=q0 - 1, a3=q0)
         n = t["n"]
-        sigma, a4cap, offset = q - 2 * q0 - 2 - 2 * n * q0 + n, q0 - 1, q0 + (2 * n + 2) * q0 * q + n + 2
+        sigma, a4cap = q - 2 * q0 - 2 - 2 * n * q0 + n, q0 - 1
+        offset, mono = q0 + (2 * n + 2) * q0 * q + n + 2, [(f1, 1), (g + n, 1)]
+    return t, sigma, a4cap, offset, [np.broadcast_arrays(r, e, t["a3"])[:2] for r, e in mono]
 
+
+def _family_rows(p: CurveParams, fid: FamilyId, params: bool = False) -> _Rows:
+    """A family (:func:`_family`) laid out as progression rows; the exponent
+    columns and the block exponents of the witnesses only for ``params``."""
+    q0, q, qq = p.q0, p.q, p.q * p.q
+    t, sigma, a4cap, offset, mono = _family(p, fid)
     zero = np.zeros_like(t["a3"])
     a1, a2, a3 = (t.get(k, zero) for k in ("a1", "a2", "a3"))
     budget = sigma - a1 - a2 - a3
-    if fid is FamilyId.F1:
+    if a4cap is None:
         # rows a4 = 0..budget of each outer tuple, f = 0..budget - a4 along each
         reps = np.maximum(budget + 1, 0)
         outer = np.repeat(np.arange(len(reps)), reps)
@@ -191,8 +206,19 @@ def _family_rows(p: CurveParams, fid: FamilyId, params: bool = False) -> _Rows:
     start = None
     if params:
         cols = {**{k: v[outer] for k, v in t.items()}, "a4": a4, "f": f}
-        start = np.stack([cols.get(k, np.zeros_like(a4)) for k in _COLUMNS])
+        start = np.vstack([np.stack([cols.get(k, np.zeros_like(a4)) for k in _COLUMNS]),
+                           _monomial(p, mono, outer)])
     return _Rows(length, value, da4, df, da4 * q + df * qq, start)
+
+
+def _monomial(p: CurveParams, mono: list, pick: np.ndarray) -> np.ndarray:
+    """The exponents of the blocks h_1.., f1, f2, g_0.. (the 3q0 - 1 rows
+    after x, y, z, w, pi in WitnessVector order) in a family's monomial at
+    its grid tuples ``pick``, one column each."""
+    out = np.zeros((3 * p.q0 - 1, len(pick)), dtype=np.int64)
+    for row, power in mono:
+        out[row[pick], np.arange(len(pick))] += power[pick]
+    return out
 
 
 def _steps(length: np.ndarray) -> np.ndarray:
@@ -209,9 +235,9 @@ def _expand(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     return values, k
 
 
-def _family_params(p: CurveParams, fid: FamilyId) -> tuple[np.ndarray, np.ndarray]:
-    """The values of one family in loop order, and their FamilyParams fields
-    (a1, a2, a3, a4, f, n, c, d, sigma, nu) as ten rows of columns."""
+def _family_params(p: CurveParams, fid: FamilyId) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One family's values in loop order, FamilyParams fields (a1, a2, a3,
+    a4, f, n, c, d, sigma, nu) as ten rows, and witnesses in WitnessVector order."""
     rows = _family_rows(p, fid, params=True)
     values, k = _expand(rows)
     cols = np.repeat(rows.start, rows.length, axis=1)
@@ -220,7 +246,7 @@ def _family_params(p: CurveParams, fid: FamilyId) -> tuple[np.ndarray, np.ndarra
     a1, a2, a3, a4, f = cols[:5]
     sigma = a1 + a2 + a3 + a4 + f
     nu = a1 + a2 * p.q0 + a3 * 2 * p.q0 + a4 * p.q + f * p.q * p.q
-    return values, np.vstack((cols, sigma, nu))
+    return values, np.vstack((cols[:8], sigma, nu)), np.delete(cols, [5, 6, 7], axis=0)
 
 
 def _digit_sum(p: CurveParams, x: np.ndarray) -> np.ndarray:
@@ -284,10 +310,10 @@ def _add_rows(lo: np.ndarray, length: np.ndarray, step: int,
     total[res] += values.reshape(d, 2, n).sum(axis=1).reshape(m)
 
 
-def kunz_counts(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
-    """The Kunz coordinates of the complement of the six families, and each
-    family's count, from the progression rows alone: k[r] family values are
-    congruent to r modulo the generic multiplicity m = q^2 - 2q0.
+def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
+    """The profile (Kunz coordinates) of the complement of the six families,
+    and each family's count, from the progression rows alone: k[r] family
+    values are congruent to r modulo the generic multiplicity m = q^2 - 2q0.
 
     Raises RuntimeError naming the first value outside [1, 2g) of the first
     family with a row end outside.  Where :func:`_distinct` cannot tell the
@@ -295,6 +321,7 @@ def kunz_counts(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
     in enumeration order, produced twice.  Distinct values of residue r are
     r, r + m, ..., r + (k - 1)m iff they sum to k*r + m*k(k - 1)/2; NotClosed
     names the first residue whose sum (:func:`_add_rows`) is another.
+    RuntimeError follows unless sum(k) is the genus.
     """
     limit, m = 2 * p.genus, p.q * p.q - 2 * p.q0
     rows = {fid: _family_rows(p, fid) for fid in FamilyId}
@@ -322,19 +349,22 @@ def kunz_counts(p: CurveParams) -> tuple[np.ndarray, dict[FamilyId, int]]:
         r = int(np.argmax(total != expected))
         raise NotClosed(f"residue {r} holds {k[r]} gaps summing to {total[r]}, not "
                         f"{expected[r]}: a gap lies above a member of its residue")
-    return k, {fid: int(r.length.sum()) for fid, r in rows.items()}
+    profile = SemigroupProfile(k)
+    if profile.genus != p.genus:
+        raise RuntimeError(f"complement profile has genus {profile.genus}, expected {p.genus}")
+    return profile, {fid: int(r.length.sum()) for fid, r in rows.items()}
 
 
 def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
     """The gap set (bound 2g) that :func:`kunz_counts` counts, and its counts."""
-    k, counts = kunz_counts(p)
-    return GapSet(gaps_of(SemigroupProfile(k)).gaps, 2 * p.genus), counts
+    profile, counts = kunz_counts(p)
+    return GapSet(gaps_of(profile).gaps, 2 * p.genus), counts
 
 
 def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
     """Union of the six families with full records, sorted by value (the
     order of :func:`witness_table`)."""
-    kunz_counts(p)  # RuntimeError, DuplicateGap or NotClosed on a bad family value
+    kunz_counts(p)  # RuntimeError, DuplicateGap or NotClosed on bad family values
     cols = witness_table(p).columns
     fids = list(FamilyId)
     records = [GapRecord(v, fids[k - 1], FamilyParams(*fields))
@@ -380,24 +410,15 @@ class GenericSemigroup:
 
 def generic_semigroup(p: CurveParams) -> GenericSemigroup:
     """The semigroup at a generic point: complement C of the six families,
-    whose Kunz coordinates k (:func:`generic_profile`) show that each
+    whose Kunz coordinates k (:func:`kunz_counts`, of sum g) show that each
     residue's gaps are exactly those below D[r] = r + m*k[r].  C is closed
     under addition, with multiplicity m, iff its minimal generators reach
     every D[r] by a tight edge and each D[r], r > 0, lies above m
     (:func:`minimal_generators`, which raises NotClosed otherwise)."""
     if p.s > 4:
         raise UnsupportedS("generic-point semigroups are supported for s <= 4")
-    profile, counts = generic_profile(p)
+    profile, counts = kunz_counts(p)
     return GenericSemigroup(profile, counts, minimal_generators(profile))
-
-
-def generic_profile(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
-    """:func:`kunz_counts` as a profile, and the counts; RuntimeError unless sum(k) is the genus."""
-    k, counts = kunz_counts(p)
-    profile = SemigroupProfile(k)
-    if profile.genus != p.genus:
-        raise RuntimeError(f"complement profile has genus {profile.genus}, expected {p.genus}")
-    return profile, counts
 
 
 # ---------------------------------------------------------------------------
@@ -428,37 +449,6 @@ def _axes(p: CurveParams) -> np.ndarray:
     in seed order: x, y, z, w, pi, h_1.., f1, f2, g_0.."""
     t = pole_order_table(p)
     return np.array([t.x, t.y, t.z, t.w, t.pi, *t.h, t.f1, t.f2, *t.g], dtype=np.int64).T
-
-
-def _seeds(p: CurveParams, fid: FamilyId, params: np.ndarray) -> np.ndarray:
-    """Read a witness straight off each column of family parameters (rows in
-    ``_COLUMNS`` order), as exponent rows in WitnessVector order.
-
-    The F1/F2/F3/F5 offsets each match one building block (nothing, h_n,
-    g_n, f1^c * f2^d).  The remaining two offsets are products: for F4,
-    g_0 * g_n supplies (2n+2)q0q + n + 2, and for F6, f1 * g_n supplies
-    (2n+2)q0q + q0 + n + 1.  In every case the pole weight comes to q - 2
-    at most, so the pole bound holds automatically.
-    """
-    b = 5  # rows: a1, a2, a3, a4, f, b[0..2q0-3], c, d, e[0..q0-2]
-    c = b + 2 * p.q0 - 2
-    e = c + 2
-    seed = np.zeros((e + p.q0 - 1, params.shape[1]), dtype=np.int64)
-    seed[:5] = params[:5]
-    n, each = params[5], np.arange(params.shape[1])
-    if fid is FamilyId.F2:
-        seed[b + n - 1, each] = 1
-    elif fid is FamilyId.F3:
-        seed[e + n, each] = 1
-    elif fid is FamilyId.F4:
-        seed[e] += 1
-        seed[e + n, each] += 1
-    elif fid is FamilyId.F5:
-        seed[c:e] = params[6:8]
-    elif fid is FamilyId.F6:
-        seed[c] = 1
-        seed[e + n, each] += 1
-    return seed
 
 
 def _is_witness(p: CurveParams, value: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -498,9 +488,9 @@ def witness_table(p: CurveParams) -> WitnessTable:
     matrix product with the building-block table, checked gap by gap."""
     blocks = []
     for fid in FamilyId:
-        values, params = _family_params(p, fid)
+        values, params, seed = _family_params(p, fid)
         family = np.full_like(values, fid.value)
-        blocks.append(np.vstack((values, family, params, _seeds(p, fid, params))))
+        blocks.append(np.vstack((values, family, params, seed)))
     columns = np.concatenate(blocks, axis=1)
     blocks.clear()  # so that at most two copies of the table are alive
     columns = columns[:, np.argsort(columns[0])]
@@ -508,16 +498,21 @@ def witness_table(p: CurveParams) -> WitnessTable:
 
 
 def gap_witness(p: CurveParams, record: GapRecord) -> WitnessVector:
-    """The family seed of a record, checked to be a witness: valuation
-    value - 1 and pole cost within 2g - 2.
-
-    The seeds certify every gap at s = 1, 2 and 3.  A seed that fails
-    raises NoWitness, which would contradict the gap property.
+    """A record's witness, its a1..f times the block monomial of the family
+    tuple holding its (n, c, d), checked: valuation value - 1 and pole cost
+    within 2g - 2.  The witnesses certify every gap at s = 1, 2 and 3; one
+    that fails, or (n, c, d) in no tuple, raises NoWitness.
     """
-    params = np.array([[getattr(record.params, k)] for k in _COLUMNS], dtype=np.int64)
-    seed = _seeds(p, record.family, params)
-    if not _is_witness(p, np.array([record.value]), seed)[0]:
+    t, _, _, _, mono = _family(p, record.family)
+    fp, hit = record.params, np.ones(len(t["a3"]), dtype=bool)
+    for k in set(t) & {"n", "c", "d"}:
+        hit &= t[k] == getattr(fp, k)
+    at = np.flatnonzero(hit)[:1]
+    if not at.size:
         raise _no_witness(p, record.value)
-    exps = seed[:, 0].tolist()
+    seed = np.concatenate(([fp.a1, fp.a2, fp.a3, fp.a4, fp.f], _monomial(p, mono, at)[:, 0]))
+    if not _is_witness(p, np.array([record.value]), seed[:, None])[0]:
+        raise _no_witness(p, record.value)
+    exps = seed.tolist()
     c = 2 * p.q0 + 3
     return WitnessVector(*exps[:5], tuple(exps[5:c]), exps[c], exps[c + 1], tuple(exps[c + 2:]))

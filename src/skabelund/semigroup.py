@@ -72,6 +72,8 @@ class SemigroupProfile:
 
     def __post_init__(self) -> None:
         k = np.asarray(self.k)
+        if not k.size:
+            raise EmptyInput("Kunz vector is empty")
         m, top = len(k), _largest(k)
         k = k.astype(np.int64 if top < 2**63 else object, copy=False).view()
         k.flags.writeable = False
@@ -98,6 +100,8 @@ class SemigroupProfile:
         """The profile of an Apery array in normal form, entry 0 zero and entry r
         congruent to r mod m; raises :class:`NotClosed` naming the first residue off it."""
         ap = list(apery)
+        if not ap:
+            raise EmptyInput("Apery set is empty")
         m = len(ap)
         fits = -(2**63) <= min(ap) and max(ap) < 2**63
         k = np.array(ap, dtype=np.int64 if fits else object)

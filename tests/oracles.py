@@ -5,9 +5,10 @@ principles (n is a member iff n == 0 or n - g is a member for some
 generator g), with no shortest-path machinery involved, so it can sit on
 the other side of every equality the Apery engine is asserted against.
 The family value and the per-record witness seed restate, one record at a
-time in plain Python, the paper's displayed family expressions and the seed
-rule that ``skabelund.families`` applies to whole columns, and the witness
-cost reads each exponent against its building block by name.  The scatter
+time in plain Python, the paper's displayed family expressions and the
+witness monomials that ``families._family`` lists beside each family's
+offset, and the witness cost reads each exponent against its building block
+by name.  The scatter
 mask marks the generic gaps value by value, where ``families.kunz_counts``
 counts whole progression rows per residue.  The phi formula
 restates the paper's piecewise offset map over whole index arrays, with

@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import os
 import subprocess
@@ -119,7 +120,7 @@ def test_witnesses_have_no_csv_form(capsys):
     assert code == 2 and "CSV" in err
     payload, _ = cmd_semigroup(1, "generic", "gaps", witnesses=True)
     with pytest.raises(UnsupportedCombination, match="CSV"):
-        render("semigroup", payload, "csv")
+        render("semigroup", payload, "csv", io.StringIO())
 
 
 def test_witnesses_csv_refused_before_the_table_is_built(capsys, monkeypatch):
@@ -185,6 +186,7 @@ def test_table1_bad_max_s(capsys):
     assert (code, err) == (2, "error: table rows are available for s in 1..4\n")
 
 
+@pytest.mark.slow
 def test_generic_size_four(capsys):
     # the generic class reaches s = 4 through its row counts and the exact sweep
     code, out, _ = run(capsys, "semigroup", "--s", "4", "--point", "generic",
@@ -263,21 +265,30 @@ def test_memory_error_exits_three(capsys, monkeypatch):
     assert err == "internal error: MemoryError: bool array of 2g entries\n"
 
 
-@pytest.mark.parametrize("emit", ["gaps", "stats"])
-def test_genus_mismatch_exits_three(emit, capsys, monkeypatch):
-    # one more gap in residue 5 than the families hold: the profile's genus
-    # is 197, the curve's 196, and neither report goes out
+@pytest.mark.parametrize("argv", [
+    ("semigroup", "--s", "1", "--point", "generic", "--emit", "gaps"),
+    ("semigroup", "--s", "1", "--point", "generic", "--emit", "stats"),
+    ("table1", "--max-s", "1"),
+], ids=["gaps", "stats", "table1"])
+def test_genus_mismatch_exits_three(argv, capsys, monkeypatch):
+    # one more F1 row, at residue 5's Apery element 125: the rows stay
+    # distinct and residue 5's gaps still sum as they should, but the
+    # profile's genus is 197, the curve's 196, and no report goes out
+    import dataclasses
+
     import skabelund.families as fam
 
-    real = fam.kunz_counts
+    real = fam._family_rows
 
-    def raised(p):
-        k, counts = real(p)
-        k[5] += 1
-        return k, counts
+    def raised(p, fid, params=False):
+        rows = real(p, fid, params)
+        if fid is not FamilyId.F1:
+            return rows
+        return dataclasses.replace(rows, length=np.append(rows.length, 1),
+                                   value=np.append(rows.value, 125))
 
-    monkeypatch.setattr(fam, "kunz_counts", raised)
-    code, out, err = run(capsys, "semigroup", "--s", "1", "--point", "generic", "--emit", emit)
+    monkeypatch.setattr(fam, "_family_rows", raised)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == "internal error: RuntimeError: complement profile has genus 197, expected 196\n"
 
@@ -404,15 +415,15 @@ def _corrupt_first_f4_seed(monkeypatch) -> int:
     columns = witness_table(make_params(2)).columns
     target = columns[:, columns[1] == FamilyId.F4.value][:, 0]
     wanted = target[2:10, None]  # the FamilyParams fields in _COLUMNS order
-    real = fam._seeds
+    real = fam._family_params
 
-    def corrupted(p, fid, params):
-        seed = real(p, fid, params)
+    def corrupted(p, fid):
+        values, params, seed = real(p, fid)
         if p.s == 2 and fid is FamilyId.F4:
             seed[0, (params[:8] == wanted).all(axis=0)] += 1
-        return seed
+        return values, params, seed
 
-    monkeypatch.setattr(fam, "_seeds", corrupted)
+    monkeypatch.setattr(fam, "_family_params", corrupted)
     return int(target[0])
 
 
@@ -533,7 +544,9 @@ def test_json_render_matches_json_dumps(monkeypatch):
         expected = json.dumps(_listed(payload), indent=2) + "\n"
         for block in (65536, 1000):
             monkeypatch.setattr(cli, "_BLOCK", block)
-            assert cli.render("semigroup", payload, "json") == expected
+            out = io.StringIO()
+            cli.render("semigroup", payload, "json", out)
+            assert out.getvalue() == expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -587,7 +600,7 @@ _SERIES_CASES += [(*case, 16384) for case in _LARGE_SERIES]
 def test_text_and_csv_series_match_per_item_render(s, point, emit, fmt, block, capsys,
                                                    monkeypatch, tmp_path):
     # series written in blocks give the per-item bytes, across block boundaries
-    # too; render() returns what main writes, and --out writes the same bytes
+    # too; render() writes what main writes, and --out writes the same bytes
     import skabelund.cli as cli
 
     monkeypatch.setattr(cli, "_BLOCK", block)
@@ -596,7 +609,9 @@ def test_text_and_csv_series_match_per_item_render(s, point, emit, fmt, block, c
     assert code == 0
     payload = _semigroup_payload(s, point, emit)
     assert out == _per_item_render(payload, fmt)
-    assert cli.render("semigroup", payload, fmt) == out
+    rendered = io.StringIO()
+    cli.render("semigroup", payload, fmt, rendered)
+    assert rendered.getvalue() == out
     target = tmp_path / "report.txt"
     assert main([*argv, "--out", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == out

@@ -12,6 +12,7 @@ from skabelund import (
     FamilyParams,
     NonIntegerResult,
     NotClosed,
+    SemigroupProfile,
     UnsupportedS,
     contains,
     enumerate_values,
@@ -139,11 +140,16 @@ def test_kunz_counts_guards(p1, monkeypatch):
         monkeypatch.setattr(fam, "_family_rows", rows)
 
     # 7 is no F1 value (its digit sum is too small for F2..F6), so the rows
-    # are expanded to look for a repeat; there is none, and both are counted
+    # are expanded to look for a repeat; there is none, both are counted,
+    # and their two gaps fall short of the genus
     families_hold({FamilyId.F1: [(5, 1)], FamilyId.F2: [(7, 1)]})
-    k, counts = fam.kunz_counts(p1)
+    with pytest.raises(RuntimeError, match="^complement profile has genus 2, expected 196$"):
+        fam.kunz_counts(p1)
+    k, total = np.zeros(60, dtype=np.int64), np.zeros(60, dtype=np.int64)
+    for lo, step in ((5, p1.q**2), (7, p1.q**2 - p1.q)):
+        fam._add_rows(np.array([lo]), np.array([1]), step, k, total)
     assert np.flatnonzero(k).tolist() == [5, 7]
-    assert counts == {fid: int(fid in (FamilyId.F1, FamilyId.F2)) for fid in FamilyId}
+    assert total[[5, 7]].tolist() == [5, 7]
     families_hold({FamilyId.F1: [(5, 2)], FamilyId.F2: [(7, 1), (5, 1)]})  # 5, 69; 7, 5
     with pytest.raises(DuplicateGap, match="^value 5 produced twice$"):
         fam.kunz_counts(p1)
@@ -173,7 +179,8 @@ def test_kunz_counts_match_scatter_oracle(s, request):
     # k against the least member of each residue column of the oracle's
     # marks, padded with members past 2g + m
     p = request.getfixturevalue(f"p{s}")
-    k, counts = fam.kunz_counts(p)
+    profile, counts = fam.kunz_counts(p)
+    k = profile.k
     marked, expected_counts = scatter_gap_mask(p)
     m = p.q * p.q - 2 * p.q0
     rows = -(-(len(marked) + m) // m)
@@ -192,8 +199,8 @@ def test_row_ends_show_distinctness(s, monkeypatch):
 
     monkeypatch.setattr(fam, "_expand", expand)
     p = make_params(s)
-    k, counts = fam.kunz_counts(p)
-    assert int(k.sum()) == sum(counts.values()) == p.genus
+    profile, counts = fam.kunz_counts(p)
+    assert int(profile.k.sum()) == sum(counts.values()) == p.genus
 
 
 def _lengthen_f1(rows):
@@ -314,13 +321,14 @@ def test_closure_violation_detected(p1, monkeypatch):
     real = fam.kunz_counts
 
     def corrupted(p):
-        k, counts = real(p)
+        profile, counts = real(p)
         # swap gap 108 for the indecomposable member 62: the per-residue
         # least-member structure still adds up to the genus, but the
         # complement elements 60 and 108 now sum to the gap 168
+        k = profile.k.copy()
         k[108 % 60] -= 1
         k[62 % 60] += 1
-        return k, counts
+        return SemigroupProfile(k), counts
 
     monkeypatch.setattr(fam, "kunz_counts", corrupted)
     with pytest.raises(NotClosed):
@@ -328,18 +336,23 @@ def test_closure_violation_detected(p1, monkeypatch):
 
 
 def test_genus_mismatch_detected(p1, monkeypatch):
-    real = fam.kunz_counts
+    # one more F1 row, at residue 5's Apery element 125: the rows stay
+    # distinct and residue 5's gaps 5, 65, 125 sum as they should, but the
+    # genus is 197, not the curve's 196.  Every generic entry point reads
+    # the one checked profile, so none returns a 197-gap set.
+    real = fam._family_rows
 
-    def raised(p):
-        # one more gap in residue 5: the Apery set moves up there by m, and
-        # the profile's genus no longer matches the curve's
-        k, counts = real(p)
-        k[5] += 1
-        return k, counts
+    def raised(p, fid, params=False):
+        rows = real(p, fid, params)
+        if fid is not FamilyId.F1:
+            return rows
+        return dataclasses.replace(rows, length=np.append(rows.length, 1),
+                                   value=np.append(rows.value, 125))
 
-    monkeypatch.setattr(fam, "kunz_counts", raised)
-    with pytest.raises(RuntimeError, match="^complement profile has genus 197, expected 196$"):
-        fam.generic_semigroup(p1)
+    monkeypatch.setattr(fam, "_family_rows", raised)
+    for entry in (fam.generic_semigroup, fam.enumerate_values, fam.enumerate_all):
+        with pytest.raises(RuntimeError, match="^complement profile has genus 197, expected 196$"):
+            entry(p1)
 
 
 @pytest.mark.parametrize("s", [1, 3])
@@ -362,6 +375,7 @@ def test_hole_in_complement_detected(s, request, monkeypatch):
         fam.generic_semigroup(p)
 
 
+@pytest.mark.slow
 def test_generic_semigroup_size_four():
     # the generic class at s = 4 from its row counts, with the exact sweep;
     # traced peak 62 MB, below one int8 lattice over [0, 2g) (133.7 MB)

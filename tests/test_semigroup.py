@@ -55,6 +55,13 @@ def test_normalize_rejects_empty_and_nonpositive():
         normalize_generators([0, 3])
 
 
+def test_empty_apery_set_or_kunz_vector_rejected():
+    with pytest.raises(EmptyInput, match="^Apery set is empty$"):
+        SemigroupProfile.from_apery(())
+    with pytest.raises(EmptyInput, match="^Kunz vector is empty$"):
+        SemigroupProfile(np.array([], dtype=np.int64))
+
+
 def test_generator_set_requires_strict_increase():
     with pytest.raises(ValueError):
         GeneratorSet((3, 3, 5))

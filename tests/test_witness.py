@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import skabelund.families as fam
 from oracles import family_seed, witness_cost, witness_fields
 from skabelund import (
     FamilyId,
@@ -11,6 +12,7 @@ from skabelund import (
     GapRecord,
     NoWitness,
     gap_witness,
+    make_params,
     pole_order_table,
     witness_table,
 )
@@ -132,3 +134,29 @@ def test_witness_table_peak_memory(p2):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * table.columns.nbytes
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_witness_certificate_per_family_tuple(s):
+    # every gap of an outer tuple is nu + offset, witnessed by
+    # x^a1 y^a2 z^a3 w^a4 pi^f times the tuple's block monomial, so the
+    # monomial's valuation must be offset - 1.  w and pi share one pole
+    # order, so the pole cost grows with a4 + f and peaks at
+    # a4 + f = sigma - a1 - a2 - a3, where it must stay within 2g - 2.  The
+    # monomial is read term by term against pole_order_table.
+    p = make_params(s)
+    t = pole_order_table(p)
+    assert t.w[1] == t.pi[1]
+    blocks = np.array([*t.h, t.f1, t.f2, *t.g]).T  # rows h_1.., f1, f2, g_0..
+    for fid in FamilyId:
+        grid, sigma, _, offset, mono = fam._family(p, fid)
+        size = len(grid["a3"])
+        valuation, pole = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+        for row, power in mono:
+            valuation += blocks[0][row] * power
+            pole += blocks[1][row] * power
+        assert np.array_equal(valuation, np.broadcast_to(offset - 1, size)), fid
+        a1, a2, a3 = (grid.get(k, 0) for k in ("a1", "a2", "a3"))
+        budget = sigma - a1 - a2 - a3
+        top = a1 * t.x[1] + a2 * t.y[1] + a3 * t.z[1] + budget * t.w[1] + pole
+        assert (top[budget >= 0] <= p.two_g_minus_2).all(), fid
