@@ -256,9 +256,9 @@ def _decimal(v: np.ndarray, sep: str) -> str:
 
 
 def _witness_blocks(table: families.WitnessTable, fmt: str, sep: str) -> Iterator[str]:
-    """The records of a witness table in blocks of _BLOCK, each record one
-    %-template over its columns: the bytes json.dumps(indent=2) gives the
-    old record dicts inside the payload (``fmt`` "json"), or the text line."""
+    """The records of a witness table in blocks of _BLOCK // 8 (:func:`_records`):
+    the bytes json.dumps(indent=2) gives the old record dicts inside the
+    payload (``fmt`` "json"), or the text line."""
     nb, ne = 2 * table.p.q0 - 2, table.p.q0 - 1
     if fmt == "json":
         d = "%d"
@@ -273,9 +273,36 @@ def _witness_blocks(table: families.WitnessTable, fmt: str, sep: str) -> Iterato
         template = f"gap %d family=F%d witness a=(%d,%d,%d,%d) b=[{b}] c=%d d=%d e=[{e}] f=%d"
         # WitnessTable rows: value, family, seed a1..a4 (12..15), b, c, d, e (17..), f (16)
         rows = [0, 1, 12, 13, 14, 15, *range(17, 19 + nb + ne), 16]
-    for i in range(0, table.columns.shape[1], _BLOCK):
-        block = table.columns[rows, i:i + _BLOCK].T.tolist()
-        yield sep.join([template % tuple(r) for r in block])
+    step = max(1, _BLOCK // 8)  # 2,048: the digit passes then stay in cache
+    for i in range(0, table.columns.shape[1], step):
+        yield _records(table.columns[rows, i:i + step], template.split("%d"), sep)
+
+
+def _records(x: np.ndarray, literals: list[str], sep: str) -> str:
+    """sep.join(template % tuple(r) for r in x.T), template = "%d".join(literals),
+    for a (k, n) nonnegative int64 array.  One uint8 row per record holds the
+    literal bytes and each field's places, as many as its column's widest
+    value; w passes of x // 10 write a w-digit field, last digit first, and
+    the places above a value's own digits keep the pad byte 0, dropped at the end."""
+    if x.size and x.min() < 0:
+        raise ValueError("record fields must be nonnegative")
+    widths = np.searchsorted(_POWERS, x.max(axis=1, initial=0), side="right") + 1
+    lits = [part.encode("ascii") for part in literals[:-1]] + [(literals[-1] + sep).encode("ascii")]
+    row = b"".join(lit + bytes(w) for lit, w in zip(lits, widths.tolist())) + lits[-1]
+    ends = np.cumsum([len(lit) for lit in lits[:-1]]) + np.cumsum(widths) - 1  # last digits
+    order = np.argsort(-widths, kind="stable")  # the fields still to write are a prefix
+    x, ends, widths = x[order], ends[order], widths[order]
+    out = np.broadcast_to(np.frombuffer(row, dtype=np.uint8), (x.shape[1], len(row))).copy()
+    for place in range(widths.max(initial=0)):
+        x = x[:np.count_nonzero(widths > place)]
+        q = x // 10
+        digit = x - 10 * q + ord("0")
+        if place:
+            digit *= x > 0  # above the value's own digits: pad
+        out[:, ends[:len(x)] - place] = digit.T
+        x = q
+    text = out.tobytes().replace(b"\0", b"")
+    return text[:len(text) - len(sep)].decode("ascii")
 
 
 def _render_csv(kind: str, payload: dict) -> str:

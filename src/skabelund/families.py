@@ -492,8 +492,10 @@ def witness_table(p: CurveParams) -> WitnessTable:
         family = np.full_like(values, fid.value)
         blocks.append(np.vstack((values, family, params, seed)))
     columns = np.concatenate(blocks, axis=1)
-    blocks.clear()  # so that at most two copies of the table are alive
-    columns = columns[:, np.argsort(columns[0])]
+    blocks.clear()  # so that one copy of the table and one row are alive
+    order = np.argsort(columns[0])
+    for row in columns:
+        row[:] = row[order]
     return WitnessTable(p, columns, _is_witness(p, columns[0], columns[12:]))
 
 

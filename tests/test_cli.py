@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 import os
@@ -471,12 +472,14 @@ def _dict_witness_dump(s: int, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("s, fmt, block", [(1, "json", 65536), (1, "text", 65536),
-                                           (2, "json", 65536), (2, "text", 65536),
-                                           (2, "json", 1000), (2, "text", 1000)])
+# records go out in sub-blocks of _BLOCK // 8: 8192 at 65,536, one record
+# at 8, and 125 at 1000, whose edges fall inside the families
+@pytest.mark.parametrize("s, fmt, block", [(s, fmt, block) for s in (1, 2)
+                                           for block in (65536, 1000, 8)
+                                           for fmt in ("json", "text")])
 def test_witness_dump_matches_dict_render(s, fmt, block, capsys, monkeypatch, tmp_path):
     # the columnar render is byte-identical to rendering the record dicts,
-    # across block boundaries too, and --out writes the same bytes
+    # across block and sub-block boundaries too, and --out writes the same bytes
     import skabelund.cli as cli
 
     monkeypatch.setattr(cli, "_BLOCK", block)
@@ -488,6 +491,52 @@ def test_witness_dump_matches_dict_render(s, fmt, block, capsys, monkeypatch, tm
     target = tmp_path / "dump.txt"
     assert main([*argv, "--out", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("fmt, bound", [("json", 8_000_000), ("text", 2_500_000)])
+def test_witness_render_peak_memory(fmt, bound):
+    # the s = 2 records are written a sub-block of 2,048 at a time from the
+    # int64 table, with no Python int per field: about 5.9 MB for JSON and
+    # 1.5 MB for text, against 23.6 and 7.2 MB with one %-template per record
+    from skabelund.cli import render
+
+    payload, _ = cmd_semigroup(2, "generic", "gaps", witnesses=True)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w", encoding="utf-8") as out:
+            render("semigroup", payload, fmt, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+class _Sha256Stream(io.TextIOBase):
+    """A text stream that keeps only the sha256 of the ASCII written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode("ascii"))
+        return len(text)
+
+
+@pytest.mark.slow
+def test_witness_dump_s3_bytes():
+    # the 1,032,256 records at s = 3, 752 MB of JSON and 128 MB of text, by their sha256
+    from skabelund.cli import render
+
+    payload, _ = cmd_semigroup(3, "generic", "gaps", witnesses=True)
+    digests = {}
+    for fmt in ("text", "json"):
+        out = _Sha256Stream()
+        render("semigroup", payload, fmt, out=out)
+        digests[fmt] = out.hash.hexdigest()
+    assert digests == {
+        "text": "a30a5fdb52e96e94f4c2d8d9b82f48744cd2eb3160edcd9f7ae77293dc48bc0f",
+        "json": "0f67e80adf9bd8fac0276dd35f698a619bc72c76bce378b4806aa625e8c11716",
+    }
 
 
 @pytest.mark.parametrize("argv", [
@@ -641,6 +690,36 @@ def test_decimal_rejects_decreasing_or_negative(values):
 
     with pytest.raises(ValueError, match="nondecreasing and nonnegative"):
         _decimal(np.asarray(values, dtype=np.int64), "\n")
+
+
+@pytest.mark.parametrize("sep", ["", "\n", ",\n    "])
+def test_records_match_template(sep):
+    # every width from 1 to 19 digits, mixed in one column and across columns,
+    # at random, in a one-record block and in an empty one; the template opens
+    # with a hole and has two holes side by side
+    from skabelund.cli import _records
+
+    literals = ["", "{a: ", "", " b=(", ")}"]
+    template = "%d".join(literals)
+    rng = np.random.default_rng(20)
+    edges = np.array([0, *_BOUNDARIES], dtype=np.int64)
+    cases = [np.stack([rng.permutation(edges) for _ in range(4)]),
+             np.array([[0], [9], [10], [2**63 - 1]]), np.array([[7], [0], [0], [0]]),
+             np.empty((4, 0), dtype=np.int64)]
+    cases += [rng.integers(0, high, (4, n)) for high in (10, 1000, 2**31, 2**63 - 1)
+              for n in (1, 17, 5000)]
+    for x in cases:
+        expected = sep.join(template % tuple(r) for r in x.T.tolist())
+        assert _records(np.asarray(x, dtype=np.int64), literals, sep) == expected
+
+
+@pytest.mark.parametrize("values", [[[-1]], [[3, -5]], [[0, 1], [2, -(2**63)]]])
+def test_records_reject_negative(values):
+    from skabelund.cli import _records
+
+    x = np.asarray(values, dtype=np.int64)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _records(x, ["<"] + [","] * (x.shape[0] - 1) + [">"], "\n")
 
 
 @pytest.mark.parametrize("point", ["generic", "quartic"])

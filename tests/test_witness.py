@@ -124,8 +124,9 @@ def test_pole_bound_is_inclusive(p2, records_s2):
 
 
 def test_witness_table_peak_memory(p2):
-    # the per-family blocks are freed once joined, so the sort copy lives
-    # beside one copy of the table, not two
+    # the per-family blocks are freed once joined, and the value sort copies
+    # one row at a time, not the table: the peak is the join, about twice
+    # the table
     witness_table(p2)
     tracemalloc.start()
     try:
