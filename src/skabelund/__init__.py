@@ -5,6 +5,9 @@ F_{q^4}, with q0 = 2^s and q = 2*q0^2.  This package computes the
 semigroup at each of the three point classes (rational, quartic,
 generic), cross-verifies the closed-form descriptions against a general
 shortest-path Apery engine, and reproduces the per-family gap counts.
+
+The generic-class names of :mod:`skabelund.families` resolve on first
+use, so a run that stays with the special classes never imports it.
 """
 
 from .curve import (
@@ -39,20 +42,6 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedS,
 )
-from .families import (
-    FamilyId,
-    FamilyParams,
-    GapRecord,
-    GenericSemigroup,
-    WitnessTable,
-    WitnessVector,
-    enumerate_all,
-    enumerate_values,
-    family_count_closed_form,
-    gap_witness,
-    generic_semigroup,
-    witness_table,
-)
 from .semigroup import (
     GapSet,
     GeneratorSet,
@@ -69,6 +58,13 @@ from .semigroup import (
 
 __version__ = "0.1.0"
 
+_FAMILIES = (
+    "FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup",
+    "WitnessTable", "WitnessVector", "enumerate_all", "enumerate_values",
+    "family_count_closed_form", "gap_witness", "generic_semigroup",
+    "witness_table",
+)
+
 __all__ = [
     "CurveParams", "PoleOrderTable", "make_params", "phi", "phi1", "phi2",
     "pole_order_table", "quartic_apery", "quartic_apery_stats",
@@ -78,12 +74,22 @@ __all__ = [
     "NonCoprime", "NonIntegerResult", "NotClosed", "OutOfDomain", "Overflow",
     "SkabelundError", "SumMismatch", "TableMismatch",
     "UnsupportedCombination", "UnsupportedS",
-    "FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup",
-    "WitnessTable", "WitnessVector", "enumerate_all", "enumerate_values",
-    "family_count_closed_form", "gap_witness", "generic_semigroup",
-    "witness_table",
+    *_FAMILIES,
     "GapSet", "GeneratorSet", "SemigroupProfile", "SemigroupStats",
     "contains", "gaps_of", "is_symmetric", "minimal_generators",
     "normalize_generators", "profile_from_generators",
     "verify_cofinite_complement",
 ]
+
+
+def __getattr__(name: str):
+    """The generic-class names, read from :mod:`skabelund.families` (PEP 562)."""
+    if name in _FAMILIES:
+        from . import families
+
+        return getattr(families, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FAMILIES})

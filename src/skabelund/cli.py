@@ -14,17 +14,20 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
-from . import curve, families, semigroup
+from . import curve, semigroup
 from .errors import (
     SkabelundError,
     TableMismatch,
     UnsupportedCombination,
     UnsupportedS,
 )
+
+if TYPE_CHECKING:  # imported where the generic class is asked for, not at start-up
+    from . import families
 
 # Reference per-family gap counts (columns F1..F6, F, g) for the two sizes
 # small enough to tabulate by hand.
@@ -67,6 +70,8 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     payload: dict = {"s": p.s, "q0": p.q0, "q": p.q, "genus": p.genus,
                      "point": point, "emit": emit}
 
+    if point == "generic":
+        from . import families
     if point == "generic" and emit != "gaps":
         generic = families.generic_semigroup(p)
         profile, gens = generic.profile, generic.generators
@@ -94,6 +99,8 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
 
 
 def cmd_table1(max_s: int) -> tuple[dict, int]:
+    from . import families
+
     if not 1 <= max_s <= 4:
         raise UnsupportedCombination("table rows are available for s in 1..4")
     rows = []
@@ -121,6 +128,8 @@ def _check(name: str, s: int, passed: bool, observed, expected, informational=Fa
 
 
 def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
+    from . import families
+
     if not 1 <= s_lo <= s_hi <= 3:
         raise UnsupportedCombination("verify supports s ranges within 1..3")
     checks: list[dict] = []
@@ -188,7 +197,9 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
     coordinates) through :func:`_decimal`, witness records through
     :func:`_witness_blocks`."""
     key, series = list(payload.items())[-1]
-    witnesses = isinstance(series, families.WitnessTable)
+    # a witness table exists only once the families module is loaded
+    loaded = sys.modules.get(f"{__package__}.families")
+    witnesses = loaded is not None and isinstance(series, loaded.WitnessTable)
     if witnesses and fmt == "csv":
         raise UnsupportedCombination(_NO_WITNESS_CSV)
     count = 0
@@ -259,6 +270,8 @@ def _witness_blocks(table: families.WitnessTable, fmt: str, sep: str) -> Iterato
     """The records of a witness table in blocks of _BLOCK // 8 (:func:`_records`):
     the bytes json.dumps(indent=2) gives the old record dicts inside the
     payload (``fmt`` "json"), or the text line."""
+    from . import families
+
     nb, ne = 2 * table.p.q0 - 2, table.p.q0 - 1
     if fmt == "json":
         d = "%d"

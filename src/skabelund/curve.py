@@ -262,25 +262,43 @@ def special_profile(p: CurveParams, point: str) -> SemigroupProfile:
     """The profile of the "rational" or "quartic" class: k[r] = a_r div m for
     the closed-form Apery element a_r of residue r (k is phi, if quartic).
 
+    Each expanded block is scattered into k as it comes, beside a mask of
+    the residues seen and a running count, exact sum and largest element.
     A repeated residue is named at its first repeat in expansion order, and
     the elements must pass the checks of ``_stats``; either failure means a
     transcription bug.
     """
     m, cells = {"rational": (rational_generators(p).gens[0], _rational_cells),
                 "quartic": (quartic_multiplicity(p), _quartic_cells)}[point]
-    vals = np.concatenate(list(_expand(cells(p))))
-    residues = vals % m
-    if np.bincount(residues, minlength=m).max() > 1:
-        first = np.zeros(vals.size, dtype=bool)
-        first[np.unique(residues, return_index=True)[1]] = True
-        at = int(np.argmin(first))
-        raise DuplicateResidue(f"residue {residues[at]} hit twice at value {vals[at]}")
-    total = sum(int(part.sum()) for part in np.array_split(vals, 64))  # exact up to s = 6
-    _stats(p, m, vals.size, total, int(vals.max(initial=0)))
-    vals //= m
-    k = np.empty_like(vals)
-    k[residues] = vals
+    k, seen = np.empty(m, dtype=np.int64), np.zeros(m, dtype=bool)
+    count = total = top = 0
+    for block in _expand(cells(p)):
+        count += block.size
+        total += int(block.sum())  # exact: a block sums below 2^63 up to s = 6
+        top = max(top, int(block.max()))
+        residues = block % m
+        block //= m
+        seen[residues] = True
+        k[residues] = block
+    if np.count_nonzero(seen) < count:
+        _first_repeat(m, _expand(cells(p)))
+    _stats(p, m, count, total, top)
     return SemigroupProfile(k)
+
+
+def _first_repeat(m: int, blocks) -> None:
+    """Raise :class:`DuplicateResidue` at the first element, in block order,
+    whose residue modulo m an earlier element holds."""
+    seen = np.zeros(m, dtype=bool)
+    for block in blocks:
+        residues = block % m
+        fresh = np.zeros(block.size, dtype=bool)
+        fresh[np.unique(residues, return_index=True)[1]] = True
+        fresh &= ~seen[residues]
+        if not fresh.all():
+            at = int(np.argmin(fresh))
+            raise DuplicateResidue(f"residue {residues[at]} hit twice at value {block[at]}")
+        seen[residues] = True
 
 
 def _stats(p: CurveParams, m: int, count: int, total: int, top: int) -> SemigroupStats:

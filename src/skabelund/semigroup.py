@@ -15,8 +15,10 @@ bounds how often one generator can lie on a shortest path.  The minimal
 generators of a profile, and whether it is closed under addition, come
 from the reduced-cost optimality conditions of shortest paths (Ahuja,
 Magnanti & Orlin, "Network Flows", 1993, ch. 5): each generator's edges
-are tested against k itself by the same shifted add and min.  The rest
-follows by direct arithmetic:
+are tested against k itself by the same shifted add and min.  Both
+kernels run in the narrowest of int16, int32 and int64 that holds every
+k they form (:func:`_narrow`); a profile holds k as int64, or as Python
+ints past that.  The rest follows by direct arithmetic:
 
     n in S          iff  n div m >= k[n mod m]
     gaps            =    r + j*m for every r and j < k[r]
@@ -179,24 +181,34 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     Every Apery element is a sum of at most m - 1 generators, below
     m * max(gens): the "unreached" sentinel k = max(gens) lies above them
     all, and keeps uses at m / gcd(a, m) - 1 while it remains.  As
-    w <= max(D), every k formed is at most 2 * max(gens) + 1: int64 when
-    that fits, Python ints otherwise.  Raises :class:`Overflow` when an
-    Apery element exceeds 64 bits unsigned.
+    w <= max(D), every k formed is at most 2 * max(gens) + 1, so the passes
+    run in :func:`_narrow` of that bound; the profile widens k once, at the
+    end.  Raises :class:`Overflow` when an Apery element exceeds 64 bits
+    unsigned.
     """
     gens, m = gen_set.gens, gen_set.gens[0]
-    fits = 2 * gens[-1] + 1 <= np.iinfo(np.int64).max
-    k = np.full(m, gens[-1], dtype=np.int64 if fits else object)
+    k = np.full(m, gens[-1], dtype=_narrow(2 * gens[-1] + 1))
     k[0] = 0
     scratch = np.empty_like(k)
     for a in gens[1:]:
         uses = min(_largest(k) // a, m // math.gcd(a, m) - 1)
         for i in range(uses.bit_length()):
             _relax(k, k, a << i, scratch)
+    del scratch  # before the profile's wider copy of k
     # gcd(gens) == 1 guarantees every residue class is reached.
     top = _largest(k)
     if top > U64_MAX:
         raise Overflow(f"Apery element exceeds 64 bits at residue {top % m}")
     return SemigroupProfile(k)
+
+
+def _narrow(top: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds every value in
+    [0, top], else object (Python ints)."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return object
 
 
 def _relax(best: np.ndarray, k: np.ndarray, w: int, scratch: np.ndarray) -> None:
@@ -277,20 +289,33 @@ def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     other residue has a tight in-edge, D[r] = D[r - g] + g, whose chain
     strictly falls to residue 0.  Otherwise it raises :class:`NotClosed`,
     naming the first residue where the two differ, or a residue whose entry
-    is not above m.  Values formed stay within 2 * max(k) + 1, in k's dtype.
+    is not above m.  Values formed stay within 2 * max(k) + 1, so the sweep
+    runs on a :func:`_narrow` copy of k.
+
+    With D[0] = 0, a new generator's own edge from residue 0 makes its
+    residue tight at once.  A residue left untight means the kernel is
+    broken: it raises :class:`RuntimeError` there, not after O(m) more
+    passes.
     """
     m, k = p.multiplicity, p.k
+    if m > 1 and k[1:].min() <= 0:
+        r = 1 + int(np.argmin(k[1:]))
+        raise NotClosed(f"residue {r} holds {r + m * int(k[r])}, not above m = {m}")
+    if k[0] != 0:
+        raise NotClosed(f"generators reach 0 at residue 0, where the Apery set has "
+                        f"{m * int(k[0])}: not closed under addition")
+    k = k.astype(_narrow(2 * int(k.max()) + 1), copy=False)
     best, scratch = k + 1, np.empty_like(k)
     order = np.argsort(k[1:], kind="stable") + 1
-    if m > 1 and k[order[0]] <= 0:
-        r = int(order[0])
-        raise NotClosed(f"residue {r} holds {r + m * int(k[r])}, not above m = {m}")
     rows = k[order]
     gens = [m]
     for window in np.split(order, np.flatnonzero(rows[1:] != rows[:-1]) + 1):
         for r in window[best[window] > k[window]].tolist():
             gens.append(r + m * int(k[r]))
             _relax(best, k, gens[-1], scratch)
+            if best[r] != k[r]:
+                raise RuntimeError(f"generator {gens[-1]} leaves its residue {r} at "
+                                   f"{r + m * int(best[r])}: the relaxation kernel is broken")
     best[0] = 0
     if not np.array_equal(best, k):
         r = int(np.argmax(best != k))

@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
 import skabelund
+
+# pytest's pythonpath setting does not reach child interpreters
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_every_exported_name_resolves():
@@ -8,3 +17,31 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from skabelund import *", namespace)
     assert set(skabelund.__all__) <= namespace.keys()
+
+
+def test_generic_names_listed_before_first_use():
+    names = {"FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup", "WitnessTable",
+             "WitnessVector", "enumerate_all", "enumerate_values", "family_count_closed_form",
+             "gap_witness", "generic_semigroup", "witness_table"}
+    assert names <= set(dir(skabelund)) & set(skabelund.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        skabelund.no_such_name
+
+
+def test_special_class_runs_never_import_families():
+    # the special classes and the engine stand alone; the generic names
+    # load skabelund.families on first use
+    child = """
+import sys
+from skabelund.cli import main
+assert main(["semigroup", "--s", "1", "--point", "quartic", "--emit", "stats"]) == 0
+import skabelund as sk
+p = sk.make_params(2)
+assert frozenset(sk.profile_from_generators(sk.quartic_generators(p)).apery) == sk.quartic_apery(p)
+assert "skabelund.families" not in sys.modules
+assert sk.FamilyId.F1.value == 1 and "skabelund.families" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("s = 1\n")

@@ -126,12 +126,12 @@ def test_witnesses_have_no_csv_form(capsys):
 
 def test_witnesses_csv_refused_before_the_table_is_built(capsys, monkeypatch):
     # the refusal costs nothing at s = 3, where the table is about 330 MB
-    import skabelund.cli as cli
+    import skabelund.families as fam
 
     def build(p):
         raise AssertionError("witness table built for a refused request")
 
-    monkeypatch.setattr(cli.families, "witness_table", build)
+    monkeypatch.setattr(fam, "witness_table", build)
     code, out, err = run(capsys, "semigroup", "--s", "3", "--point", "generic",
                          "--emit", "gaps", "--witnesses", "--format", "csv")
     assert (code, out, err) == (2, "", "error: --witnesses payloads have no CSV form\n")
@@ -242,25 +242,25 @@ def test_verify_fault_injection(capsys, monkeypatch):
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
-    import skabelund.cli as cli
+    import skabelund.families as fam
     from skabelund import DuplicateGap
 
     def boom(p):
         raise DuplicateGap("value 7 produced twice")
 
-    monkeypatch.setattr(cli.families, "kunz_counts", boom)
+    monkeypatch.setattr(fam, "kunz_counts", boom)
     code, _, err = run(capsys, "table1", "--max-s", "1")
     assert code == 3
     assert "DuplicateGap" in err
 
 
 def test_memory_error_exits_three(capsys, monkeypatch):
-    import skabelund.cli as cli
+    import skabelund.families as fam
 
     def boom(p):
         raise MemoryError("bool array of 2g entries")
 
-    monkeypatch.setattr(cli.families, "kunz_counts", boom)
+    monkeypatch.setattr(fam, "kunz_counts", boom)
     code, _, err = run(capsys, "table1", "--max-s", "1")
     assert code == 3
     assert err == "internal error: MemoryError: bool array of 2g entries\n"

@@ -231,12 +231,17 @@ def test_quartic_stats_match_brute_phi(s):
 def test_rational_apery_names_first_duplicate(monkeypatch):
     import skabelund.curve as curve
 
-    # g4 = 2 * g0, so k = 1 repeats the residues of k = 0; the first
-    # repeat in box order is h = i = j = 0, k = 1.
-    monkeypatch.setattr(curve, "rational_generators",
-                        lambda p: GeneratorSet((40, 50, 60, 63, 80)))
-    with pytest.raises(DuplicateResidue, match="residue 0 hit twice at value 80"):
-        rational_apery(make_params(1))
+    # (40, 50, 60, 63, 80): g4 = 2 * g0, so k = 1 repeats the residues of
+    # k = 0; the first repeat in box order is h = i = j = 0, k = 1, in row 0.
+    # (40, 41, 42, 43, 44): row 0 holds eight residues; row 1 starts with
+    # 43, the residue of g1 + g2 in row 0.  Blocks of 8 hold one row each.
+    for gens, message in (((40, 50, 60, 63, 80), "residue 0 hit twice at value 80"),
+                          ((40, 41, 42, 43, 44), "residue 3 hit twice at value 43")):
+        monkeypatch.setattr(curve, "rational_generators", lambda p, gens=gens: GeneratorSet(gens))
+        for block in (1 << 16, 8):
+            monkeypatch.setattr(curve, "_BLOCK", block)
+            with pytest.raises(DuplicateResidue, match=f"^{message}$"):
+                rational_apery(make_params(1))
 
 
 def _faulty(cells_of, fault):
@@ -305,6 +310,22 @@ def test_cell_sums_match_each_cell(s):
             cell = cells[:, c:c + 1]
             vals = np.concatenate(list(curve._expand(cell)))
             assert curve._cell_sums(cell) == (vals.size, int(vals.sum()), int(vals.max()))
+
+
+@pytest.mark.parametrize("point", ["rational", "quartic"])
+def test_special_profile_peak_memory(point):
+    # each expanded block is scattered into k as it comes: k, the seen mask
+    # and one block's temporaries, 2.2 times k at s = 4 (3.1 times when the
+    # whole expansion was one array beside its residues)
+    import skabelund.curve as curve
+
+    tracemalloc.start()
+    try:
+        k = curve.special_profile(make_params(4), point).k
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * k.nbytes
 
 
 @pytest.mark.parametrize("stats_of", [rational_apery_stats, quartic_apery_stats])

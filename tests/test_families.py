@@ -317,6 +317,22 @@ def test_generic_minimal_generators_regenerate(p1, p2, p3):
         assert again == generic.profile
 
 
+def test_sweep_stops_at_a_broken_kernel(p2, monkeypatch):
+    # a _relax whose w div m is one too high leaves every new generator's
+    # residue one row above its Apery element: the sweep stops at the first,
+    # not after one O(m) pass per residue
+    import skabelund.semigroup as sg
+
+    profile, _ = fam.kunz_counts(p2)
+    real = sg._relax
+    monkeypatch.setattr(sg, "_relax", lambda best, k, w, scratch: real(best, k, w + len(k), scratch))
+    m, k = profile.multiplicity, profile.k
+    r = 1 + int(np.argmin(k[1:]))  # the least nonzero Apery element, the first generator after m
+    first = r + m * int(k[r])
+    with pytest.raises(RuntimeError, match=f"^generator {first} leaves its residue {r} at {first + m}: "):
+        minimal_generators(profile)
+
+
 def test_closure_violation_detected(p1, monkeypatch):
     real = fam.kunz_counts
 

@@ -248,6 +248,9 @@ def test_minimal_generators_reject_unclosed_apery_set():
     # closed, but <2, 3> has multiplicity 2: not its Apery set for m = 3
     with pytest.raises(NotClosed, match="residue 2"):
         minimal_generators(SemigroupProfile.from_apery((0, 4, 2)))
+    # k[0] = 1: residue 0 is named before any generator's residue is tested for tightness
+    with pytest.raises(NotClosed, match="^generators reach 0 at residue 0, where the Apery set has 3: "):
+        minimal_generators(SemigroupProfile(np.array([1, 1, 1])))
 
 
 def test_from_apery_rejects_non_normal_form():
@@ -314,6 +317,46 @@ def test_minimal_generators_of_values_beyond_int64():
     # Apery elements past 2**63 take the Python-int path
     for gens in ((3, 2**62 + 1), (2, 2**64 - 1)):
         assert minimal_generators(profile_from_generators(GeneratorSet(gens))) == gens
+
+
+@pytest.mark.parametrize("top, dtype", [
+    (0, np.int16), (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32),
+    (2**31, np.int64), (2**63 - 1, np.int64), (2**63, object), (2**64, object),
+])
+def test_narrow_picks_the_narrowest_dtype(top, dtype):
+    from skabelund.semigroup import _narrow
+
+    assert _narrow(top) is dtype
+
+
+# every value either kernel forms is at most 2K + 1 for the largest generator
+# or Kunz entry K: at a dtype's maximum, and one step past it
+@pytest.mark.parametrize("K, dtype", [
+    (2**14 - 1, np.int16), (2**14, np.int32), (2**30 - 1, np.int32),
+    (2**30, np.int64), (2**62 - 1, np.int64), (2**62, object),
+])
+def test_kernels_run_narrow_and_agree_with_int64(K, dtype, monkeypatch):
+    import skabelund.semigroup as sg
+
+    real_relax, dtypes = sg._relax, []
+
+    def relax(best, k, w, scratch):
+        dtypes.append({best.dtype, k.dtype, scratch.dtype})
+        real_relax(best, k, w, scratch)
+
+    def run():
+        engine = profile_from_generators(GeneratorSet((3, K - 1, K)))
+        gens = minimal_generators(SemigroupProfile(np.array([0, K, K], dtype=object)))
+        with pytest.raises(NotClosed) as unclosed:
+            minimal_generators(SemigroupProfile(np.array([0, K // 3, K], dtype=object)))
+        return engine, engine.k.dtype, gens, str(unclosed.value)
+
+    monkeypatch.setattr(sg, "_relax", relax)
+    narrow = run()
+    assert dtypes and all(d == {np.dtype(dtype)} for d in dtypes)
+    assert narrow[2] == (3, 1 + 3 * K, 2 + 3 * K)
+    monkeypatch.setattr(sg, "_narrow", lambda top: np.int64 if top < 2**63 else object)
+    assert run() == narrow
 
 
 def test_stats_from_profile():
