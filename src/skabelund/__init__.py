@@ -59,10 +59,9 @@ from .semigroup import (
 __version__ = "0.1.0"
 
 _FAMILIES = (
-    "FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup",
-    "WitnessTable", "WitnessVector", "enumerate_all", "enumerate_values",
-    "family_count_closed_form", "gap_witness", "generic_semigroup",
-    "witness_table",
+    "FamilyId", "FamilyParams", "GapRecord", "GenericSemigroup", "WitnessVector",
+    "enumerate_all", "enumerate_values", "family_count_closed_form", "gap_witness",
+    "generic_semigroup",
 )
 
 __all__ = [

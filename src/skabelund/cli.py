@@ -14,7 +14,8 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
-from typing import TYPE_CHECKING, Iterator, TextIO
+from types import GeneratorType
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -25,9 +26,6 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedS,
 )
-
-if TYPE_CHECKING:  # imported where the generic class is asked for, not at start-up
-    from . import families
 
 # Reference per-family gap counts (columns F1..F6, F, g) for the two sizes
 # small enough to tabulate by hand.
@@ -85,10 +83,11 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     else:
         stats = (curve.rational_apery_stats if point == "rational" else curve.quartic_apery_stats)(p)
 
-    if witnesses:
-        table = families.witness_table(p)
-        table.require_valid()
-        payload["gaps"] = table  # rendered record by record, see _witness_blocks
+    if witnesses:  # NoWitness for the least failing gap, before any byte is written
+        bad, least = families.witness_faults(p)
+        if bad:
+            raise families._no_witness(p, least)
+        payload["gaps"] = families.witness_windows(p)  # rendered once, see _witness_blocks
     elif emit == "gaps":
         payload["gaps"] = profile  # streamed from its Kunz coordinates, see _pieces
     elif emit == "apery":
@@ -172,7 +171,7 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
                              generic.profile.genus, p.genus))
 
         if s <= 2:
-            bad = int((~families.witness_table(p).valid).sum())
+            bad = families.witness_faults(p)[0]
             checks.append(_check("witnesses", s, bad == 0, f"{bad} invalid", "0 invalid"))
 
     hard_failures = [c for c in checks if not c["passed"] and not c["informational"]]
@@ -184,22 +183,20 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # Rendering.
 
-def render(kind: str, payload: dict, fmt: str, out: TextIO) -> None:
-    """Write the report to the text stream ``out`` piece by piece, with no
-    whole string built."""
+def render(kind: str, payload: dict, fmt: str, out: BinaryIO) -> None:
+    """Write the report's ASCII bytes to the binary stream ``out`` piece by
+    piece, with no whole report built."""
     out.writelines(_pieces(kind, payload, fmt))
 
 
-def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
-    """The report as consecutive strings.  A semigroup report's trailing series
-    goes out in blocks of _BLOCK: generators or an Apery set (a list or an
-    array, read as one int64 array) and gaps (streamed from their Kunz
-    coordinates) through :func:`_decimal`, witness records through
-    :func:`_witness_blocks`."""
+def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[bytes]:
+    """The report as consecutive byte strings.  A semigroup report's trailing
+    series goes out in blocks of _BLOCK: generators or an Apery set (a list
+    or an array, read as one int64 array) and gaps (streamed from their Kunz
+    coordinates) through :func:`_decimal`, witness records (the windows of
+    :func:`skabelund.families.witness_windows`) through :func:`_witness_blocks`."""
     key, series = list(payload.items())[-1]
-    # a witness table exists only once the families module is loaded
-    loaded = sys.modules.get(f"{__package__}.families")
-    witnesses = loaded is not None and isinstance(series, loaded.WitnessTable)
+    witnesses = isinstance(series, GeneratorType)
     if witnesses and fmt == "csv":
         raise UnsupportedCombination(_NO_WITNESS_CSV)
     count = 0
@@ -210,7 +207,7 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
         count, arrays = series.genus, series.blocks(_BLOCK)
     if not (witnesses or count):
         writer = {"csv": _render_csv, "text": _render_text}.get(fmt)
-        yield writer(kind, payload) if writer else json.dumps(payload, indent=2) + "\n"
+        yield (writer(kind, payload) if writer else json.dumps(payload, indent=2) + "\n").encode()
         return
 
     sep, tail = "\n", "\n"
@@ -227,18 +224,19 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[str]:
         elif not witnesses:
             head += f"{key} ({count} values):\n"
 
-    blocks = (_witness_blocks(series, fmt, sep) if witnesses
+    blocks = (_witness_blocks(series, payload["q0"], fmt, sep) if witnesses
               else (_decimal(block, sep) for block in arrays))
-    yield head
+    yield head.encode()
     for i, block in enumerate(blocks):
         if i:
-            yield sep
+            yield sep.encode()
         yield block
-    yield tail
+    yield tail.encode()
 
 
-def _decimal(v: np.ndarray, sep: str) -> str:
-    """sep.join(map(str, v)) for a nondecreasing, nonnegative int64 array.
+def _decimal(v: np.ndarray, sep: str) -> bytes:
+    """sep.join(map(str, v)), as ASCII bytes, for a nondecreasing,
+    nonnegative int64 array.
 
     The values of w digits are one run, cut by searchsorted.  w passes of
     x // 10 and its remainder fill a (w, n) digit matrix, last digit first;
@@ -263,16 +261,16 @@ def _decimal(v: np.ndarray, sep: str) -> str:
         run[:, w:] = tail
         runs.append(run.tobytes())
     text = b"".join(runs)
-    return text[:len(text) - tail.size].decode("ascii")
+    return text[:len(text) - tail.size]
 
 
-def _witness_blocks(table: families.WitnessTable, fmt: str, sep: str) -> Iterator[str]:
-    """The records of a witness table in blocks of _BLOCK // 8 (:func:`_records`):
-    the bytes json.dumps(indent=2) gives the old record dicts inside the
-    payload (``fmt`` "json"), or the text line."""
+def _witness_blocks(windows: Iterator[np.ndarray], q0: int, fmt: str, sep: str) -> Iterator[bytes]:
+    """The records of each witness window in blocks of _BLOCK // 32
+    (:func:`_records`): the bytes json.dumps(indent=2) gives the old record
+    dicts inside the payload (``fmt`` "json"), or the text line."""
     from . import families
 
-    nb, ne = 2 * table.p.q0 - 2, table.p.q0 - 1
+    nb, ne = 2 * q0 - 2, q0 - 1
     if fmt == "json":
         d = "%d"
         lists = {"b": [d] * nb, "e": [d] * ne}
@@ -284,19 +282,22 @@ def _witness_blocks(table: families.WitnessTable, fmt: str, sep: str) -> Iterato
     else:
         b, e = ", ".join(["%d"] * nb), ", ".join(["%d"] * ne)
         template = f"gap %d family=F%d witness a=(%d,%d,%d,%d) b=[{b}] c=%d d=%d e=[{e}] f=%d"
-        # WitnessTable rows: value, family, seed a1..a4 (12..15), b, c, d, e (17..), f (16)
+        # window rows: value, family, seed a1..a4 (12..15), b, c, d, e (17..), f (16)
         rows = [0, 1, 12, 13, 14, 15, *range(17, 19 + nb + ne), 16]
-    step = max(1, _BLOCK // 8)  # 2,048: the digit passes then stay in cache
-    for i in range(0, table.columns.shape[1], step):
-        yield _records(table.columns[rows, i:i + step], template.split("%d"), sep)
+    step = max(1, _BLOCK // 32)  # 512: the digit passes then stay in cache
+    for window in windows:
+        for i in range(0, window.shape[1], step):
+            yield _records(window[rows, i:i + step], template.split("%d"), sep)
+        del window  # before the next window is built
 
 
-def _records(x: np.ndarray, literals: list[str], sep: str) -> str:
+def _records(x: np.ndarray, literals: list[str], sep: str) -> bytes:
     """sep.join(template % tuple(r) for r in x.T), template = "%d".join(literals),
-    for a (k, n) nonnegative int64 array.  One uint8 row per record holds the
-    literal bytes and each field's places, as many as its column's widest
-    value; w passes of x // 10 write a w-digit field, last digit first, and
-    the places above a value's own digits keep the pad byte 0, dropped at the end."""
+    as ASCII bytes, for a (k, n) nonnegative int64 array.  One uint8 row per
+    record holds the literal bytes and each field's places, as many as its
+    column's widest value; w passes of x // 10 write a w-digit field, last
+    digit first, and the places above a value's own digits keep the pad byte
+    0, dropped at the end."""
     if x.size and x.min() < 0:
         raise ValueError("record fields must be nonnegative")
     widths = np.searchsorted(_POWERS, x.max(axis=1, initial=0), side="right") + 1
@@ -315,7 +316,7 @@ def _records(x: np.ndarray, literals: list[str], sep: str) -> str:
         out[:, ends[:len(x)] - place] = digit.T
         x = q
     text = out.tobytes().replace(b"\0", b"")
-    return text[:len(text) - len(sep)].decode("ascii")
+    return text[:len(text) - len(sep)]
 
 
 def _render_csv(kind: str, payload: dict) -> str:
@@ -414,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         if kind == "params":
             payload, code = cmd_params(args.s)
         elif kind == "semigroup":
-            if args.witnesses and args.format == "csv":  # before the witness table is built
+            if args.witnesses and args.format == "csv":  # before the witnesses are certified
                 raise UnsupportedCombination(_NO_WITNESS_CSV)
             payload, code = cmd_semigroup(args.s, args.point, args.emit, args.witnesses)
         elif kind == "table1":
@@ -441,15 +442,16 @@ def _emit(kind: str, payload: dict, fmt: str, out_path: str | None) -> int:
     A report that fails partway leaves no partial PATH behind."""
     if out_path is None:
         try:
-            render(kind, payload, fmt, out=sys.stdout)
-            sys.stdout.flush()
+            sys.stdout.flush()  # the text layer first, then the report's bytes below it
+            render(kind, payload, fmt, out=sys.stdout.buffer)
+            sys.stdout.buffer.flush()
         except BrokenPipeError:
             # as the signal module docs advise, so the flush at exit does not fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     fh = None
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "wb") as fh:
             render(kind, payload, fmt, out=fh)
     except BaseException as exc:
         # a regular file this run opened; never a device or a link such as /dev/stdout

@@ -28,10 +28,10 @@ the building-block functions (see :func:`skabelund.curve.pole_order_table`)
 whose vanishing order at the point is v - 1 and whose total pole order at
 infinity stays within 2g - 2.  Witnesses certify the value is a gap.  A
 gap's witness is x^a1 y^a2 z^a3 w^a4 pi^f times the block monomial that
-:func:`_family` lists beside its offset.  :func:`witness_table` is the
-record interface: it holds every gap with its family, parameters and
-witness as int64 columns in value order, and checks all of them with one
-matrix product against the building blocks.
+:func:`_family` lists beside its offset.  :func:`witness_faults` checks
+every witness with two tests per outer tuple of a family, and
+:func:`witness_windows` gives the records (every gap with its family,
+parameters and witness) as int64 columns, one value window at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -68,8 +69,7 @@ class FamilyParams:
 
     ``n`` is the family index used by F2/F3/F4/F6, ``c``/``d`` are the two
     extra exponents of F5; unused components are zero.  ``sigma`` and ``nu``
-    are stored redundantly.  Construction checks ``sigma``; ``nu`` needs q0,
-    so ``test_records_internally_consistent`` checks it with ``tests/oracles.py::nu_of``.
+    are stored redundantly; construction checks ``sigma`` (``nu`` needs q0).
     """
 
     a1: int
@@ -108,19 +108,22 @@ class GapRecord:
 # and f = sigma - s3 - a4.  Rows and the values along them come in the
 # lexicographic order of the loop variables, so output is deterministic.
 # kunz_counts range-checks, separates and counts a row from its two ends and
-# its length; only the witness table and error messages expand it.
+# its length; only the witness windows and error messages expand it.
 
-_COLUMNS = ("a1", "a2", "a3", "a4", "f", "n", "c", "d")
+# a gap's record up to the witness's block exponents: value, family number,
+# the FamilyParams fields, then the witness's a1..f (WitnessVector order)
+_RECORD = ("value", "family", "a1", "a2", "a3", "a4", "f", "n", "c", "d", "sigma", "nu",
+           "a1", "a2", "a3", "a4", "f")
 
 
 @dataclass(frozen=True)
 class _Rows:
     """The progression rows of one family, as int64 columns.
 
-    Row i holds ``length[i]`` values.  Its exponents start at
-    ``start[:, i]`` (``_COLUMNS``, then the witness's block exponents; None
-    unless asked for) and move by (da4, df) in (a4, f) per step, so its
-    value starts at ``value[i]`` and moves by ``step`` = da4*q + df*q^2.
+    Row i holds ``length[i]`` values.  Its value starts at ``value[i]`` and
+    moves by ``step`` = da4*q + df*q^2, as (a4, f) moves by (da4, df).  Its
+    first record is ``start[:, i]`` (``_RECORD``, then the witness's block
+    exponents; None unless asked for).
     """
 
     length: np.ndarray
@@ -183,8 +186,8 @@ def _family(p: CurveParams, fid: FamilyId) -> tuple:
 
 
 def _family_rows(p: CurveParams, fid: FamilyId, params: bool = False) -> _Rows:
-    """A family (:func:`_family`) laid out as progression rows; the exponent
-    columns and the block exponents of the witnesses only for ``params``."""
+    """A family (:func:`_family`) laid out as progression rows; the record
+    columns of each row's first gap only for ``params``."""
     q0, q, qq = p.q0, p.q, p.q * p.q
     t, sigma, a4cap, offset, mono = _family(p, fid)
     zero = np.zeros_like(t["a3"])
@@ -205,8 +208,10 @@ def _family_rows(p: CurveParams, fid: FamilyId, params: bool = False) -> _Rows:
     value = (offset + a1 + a2 * q0 + a3 * 2 * q0)[outer] + a4 * q + f * qq
     start = None
     if params:
-        cols = {**{k: v[outer] for k, v in t.items()}, "a4": a4, "f": f}
-        start = np.vstack([np.stack([cols.get(k, np.zeros_like(a4)) for k in _COLUMNS]),
+        cols = {**{k: v[outer] for k, v in t.items()}, "a4": a4, "f": f, "value": value,
+                "family": fid.value + 0 * f, "sigma": (a1 + a2 + a3)[outer] + a4 + f,
+                "nu": value - (offset + zero)[outer]}
+        start = np.vstack([np.stack([cols.get(k, 0 * f) for k in _RECORD]),
                            _monomial(p, mono, outer)])
     return _Rows(length, value, da4, df, da4 * q + df * qq, start)
 
@@ -226,27 +231,9 @@ def _steps(length: np.ndarray) -> np.ndarray:
     return np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
 
 
-def _expand(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
-    """Every value of every row, row after row, and the step index of each
-    value along its row."""
-    k = _steps(rows.length)
-    values = np.repeat(rows.value, rows.length)
-    values += k * rows.step
-    return values, k
-
-
-def _family_params(p: CurveParams, fid: FamilyId) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One family's values in loop order, FamilyParams fields (a1, a2, a3,
-    a4, f, n, c, d, sigma, nu) as ten rows, and witnesses in WitnessVector order."""
-    rows = _family_rows(p, fid, params=True)
-    values, k = _expand(rows)
-    cols = np.repeat(rows.start, rows.length, axis=1)
-    cols[3] += k * rows.da4
-    cols[4] += k * rows.df
-    a1, a2, a3, a4, f = cols[:5]
-    sigma = a1 + a2 + a3 + a4 + f
-    nu = a1 + a2 * p.q0 + a3 * 2 * p.q0 + a4 * p.q + f * p.q * p.q
-    return values, np.vstack((cols[:8], sigma, nu)), np.delete(cols, [5, 6, 7], axis=0)
+def _expand(rows: _Rows) -> np.ndarray:
+    """Every value of every row, row after row."""
+    return np.repeat(rows.value, rows.length) + _steps(rows.length) * rows.step
 
 
 def _digit_sum(p: CurveParams, x: np.ndarray) -> np.ndarray:
@@ -330,13 +317,13 @@ def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
         last = r.value + (r.length - 1) * r.step
         lo, hi = np.minimum(r.value, last), np.maximum(r.value, last)
         if (lo < 1).any() or (hi >= limit).any():
-            values = _expand(r)[0]
+            values = _expand(r)
             outside = (values < 1) | (values >= limit)
             raise RuntimeError(f"gap value {values[outside][0]} outside [1, {limit})")
         lattices.setdefault(abs(r.step), []).append((lo, hi))
     lattices = {step: [np.concatenate(e) for e in zip(*ends)] for step, ends in lattices.items()}
     if not all(_distinct(p, step, lo, hi) for step, (lo, hi) in lattices.items()):
-        every = np.concatenate([_expand(r)[0] for r in rows.values()])
+        every = np.concatenate([_expand(r) for r in rows.values()])
         repeat = np.ones(len(every), dtype=bool)
         repeat[np.unique(every, return_index=True)[1]] = False
         if repeat.any():
@@ -362,14 +349,13 @@ def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
 
 
 def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
-    """Union of the six families with full records, sorted by value (the
-    order of :func:`witness_table`)."""
+    """Union of the six families with full records, sorted by value (read
+    off :func:`witness_windows`)."""
     kunz_counts(p)  # RuntimeError, DuplicateGap or NotClosed on bad family values
-    cols = witness_table(p).columns
     fids = list(FamilyId)
-    records = [GapRecord(v, fids[k - 1], FamilyParams(*fields))
+    records = [GapRecord(v, fids[k - 1], FamilyParams(*fields)) for cols in witness_windows(p)
                for v, k, fields in zip(cols[0].tolist(), cols[1].tolist(), cols[2:12].T.tolist())]
-    return GapSet(tuple(cols[0].tolist()), 2 * p.genus), records
+    return GapSet(tuple(r.value for r in records), 2 * p.genus), records
 
 
 def family_count_closed_form(p: CurveParams, fid: FamilyId) -> int:
@@ -461,49 +447,91 @@ def _no_witness(p: CurveParams, value: int) -> NoWitness:
     return NoWitness(f"no witness for value {value} within pole budget {p.two_g_minus_2}")
 
 
-@dataclass(frozen=True)
-class WitnessTable:
-    """Every generic gap with its family, parameters and witness seed.
-
-    ``columns`` holds one int64 column per gap, in ascending value order.
-    Row 0 is the value, row 1 the family number (1..6), rows 2..11 the
-    FamilyParams fields and rows 12.. the seed in WitnessVector order
-    (a1, a2, a3, a4, f, b, c, d, e).  ``valid`` marks the gaps whose seed
-    is a witness.
+def witness_faults(p: CurveParams) -> tuple[int, int | None]:
+    """The number of gaps whose witness fails and the least of them (None if
+    none), from two tests per outer tuple of each family (:func:`_family`),
+    exact for every gap.  A tuple's gaps are nu + offset, witnessed by x^a1
+    y^a2 z^a3 w^a4 pi^f times its block monomial: all have valuation
+    value - 1 iff the monomial has offset - 1.  w and pi share one pole
+    order, so its gaps fail from some a4 + f = T on: in F1 the u + 1 gaps
+    with a4 + f = u, the least with a4 = T and f = 0; F2..F6 fix a4 + f, so
+    the whole tuple fails, the least gap at its largest a4.
     """
-
-    p: CurveParams
-    columns: np.ndarray
-    valid: np.ndarray
-
-    def require_valid(self) -> None:
-        """Raise NoWitness for the smallest gap whose seed is no witness."""
-        if not self.valid.all():
-            raise _no_witness(self.p, int(self.columns[0, np.argmin(self.valid)]))
-
-
-def witness_table(p: CurveParams) -> WitnessTable:
-    """Expand the progression rows of every family, seed each gap and sort
-    the gaps by value.  Each gap's valuation and pole cost come from one
-    matrix product with the building-block table, checked gap by gap."""
-    blocks = []
+    q0, q, axes = p.q0, p.q, _axes(p)
+    if axes[0, :5].tolist() != [1, q0, 2 * q0, q, q * q] or axes[1, 3] != axes[1, 4]:
+        raise RuntimeError("x, y, z, w, pi are not the building blocks that nu assumes")
+    bad, least = 0, []
     for fid in FamilyId:
-        values, params, seed = _family_params(p, fid)
-        family = np.full_like(values, fid.value)
-        blocks.append(np.vstack((values, family, params, seed)))
-    columns = np.concatenate(blocks, axis=1)
-    blocks.clear()  # so that one copy of the table and one row are alive
-    order = np.argsort(columns[0])
-    for row in columns:
-        row[:] = row[order]
-    return WitnessTable(p, columns, _is_witness(p, columns[0], columns[12:]))
+        t, sigma, a4cap, offset, mono = _family(p, fid)
+        zero = np.zeros_like(t["a3"])
+        a1, a2, a3 = (t.get(k, zero) for k in ("a1", "a2", "a3"))
+        budget, low = sigma - a1 - a2 - a3, offset + a1 + a2 * q0 + a3 * 2 * q0
+        cost = np.zeros((2, len(zero)), dtype=np.int64)  # the monomial's valuation and pole
+        for row, power in mono:
+            cost += axes[:, 5 + row] * power
+        valuation, pole = cost
+        pole += axes[1, :3] @ np.stack((a1, a2, a3))  # at a4 = f = 0
+        first = np.maximum((p.two_g_minus_2 - pole) // axes[1, 3] + 1, 0)  # T
+        first[valuation != offset - 1] = 0
+        fails = first <= budget
+        if a4cap is None:
+            count, at = ((budget + 1) * (budget + 2) - first * (first + 1)) // 2, low + first * q
+        else:  # a4 = 0..n - 1, f = budget - a4: the least gap at a4 = n - 1
+            n = np.minimum(a4cap, budget) + 1
+            count, at = n, low + (n - 1) * q + (budget - n + 1) * q * q
+        bad += int(count[fails].sum())
+        least += at[fails].tolist()
+    return bad, min(least, default=None)
+
+
+_WINDOW = 4096  # gap values per window of witness_windows
+_MOVING = [i for i, k in enumerate(_RECORD) if k in ("value", "a4", "f", "sigma", "nu")]
+
+
+def witness_windows(p: CurveParams) -> Iterator[np.ndarray]:
+    """Every gap's record, one value window [v0, v0 + _WINDOW) at a time, as
+    int64 columns in value order: ``_RECORD`` (rows 2..11 the FamilyParams
+    fields), then the witness's block exponents (b, c, d, e).
+
+    Each progression row is read upward (from its far end if it runs down),
+    so its indices j with value + j*step in a window are one range, from two
+    floor divisions, and only the ``_MOVING`` rows of a record move along it.
+    :func:`witness_faults` certifies every witness, so one that fails
+    :func:`_is_witness` here is a fault of this expansion: RuntimeError.
+    """
+    parts = []
+    for fid in FamilyId:
+        r = _family_rows(p, fid, params=True)
+        moves = {"value": r.step, "a4": r.da4, "f": r.df, "sigma": r.da4 + r.df, "nu": r.step}
+        delta = np.array([moves[_RECORD[i]] for i in _MOVING])[:, None]
+        if r.step < 0:
+            r.start[_MOVING] += delta * (r.length - 1)
+            delta = -delta
+        parts.append(np.vstack((r.length, np.repeat(delta, len(r.length), axis=1), r.start)))
+    table = np.concatenate(parts, axis=1)
+    del parts
+    length, delta, start = table[0], table[1:len(_MOVING) + 1], table[len(_MOVING) + 1:]
+    value, step = start[0], delta[0]
+    for v0 in range(0, 2 * p.genus, _WINDOW):
+        lo = np.maximum(-((value - v0) // step), 0)
+        n = np.maximum(np.minimum(-((value - v0 - _WINDOW) // step), length) - lo, 0)
+        k, rows = np.repeat(lo, n) + _steps(n), np.repeat(np.arange(len(n)), n)
+        order = np.argsort(value[rows] + k * step[rows])
+        k, rows = k[order], rows[order]
+        window = start[:, rows]
+        window[_MOVING] += delta[:, rows] * k
+        ok = _is_witness(p, window[0], window[12:])
+        if not ok.all():
+            raise RuntimeError(f"a witness window misses the witness of {window[0, np.argmin(ok)]}")
+        yield window
+        del window  # before the next window is gathered
 
 
 def gap_witness(p: CurveParams, record: GapRecord) -> WitnessVector:
     """A record's witness, its a1..f times the block monomial of the family
     tuple holding its (n, c, d), checked: valuation value - 1 and pole cost
-    within 2g - 2.  The witnesses certify every gap at s = 1, 2 and 3; one
-    that fails, or (n, c, d) in no tuple, raises NoWitness.
+    within 2g - 2 (:func:`witness_faults` certifies every gap); one that
+    fails, or (n, c, d) in no tuple, raises NoWitness.
     """
     t, _, _, _, mono = _family(p, record.family)
     fp, hit = record.params, np.ones(len(t["a3"]), dtype=bool)

@@ -119,7 +119,7 @@ def family_seed(p, record: GapRecord) -> WitnessVector:
 
 def witness_fields(w: WitnessVector) -> list[int]:
     """The exponents of a witness in field order (a1, a2, a3, a4, f, b, c,
-    d, e), the row order of the seed in ``families.witness_table``."""
+    d, e), the row order of the witness in ``families.witness_windows``."""
     return [w.a1, w.a2, w.a3, w.a4, w.f, *w.b, w.c, w.d, *w.e]
 
 
@@ -169,7 +169,7 @@ def scatter_gap_mask(p) -> tuple[np.ndarray, dict[FamilyId, int]]:
     counts = {}
     every = []
     for fid in FamilyId:
-        values = families._expand(families._family_rows(p, fid))[0]
+        values = families._expand(families._family_rows(p, fid))
         outside = (values < 1) | (values >= limit)
         if outside.any():
             raise RuntimeError(f"gap value {values[outside][0]} outside [1, {limit})")

@@ -121,17 +121,19 @@ def test_witnesses_have_no_csv_form(capsys):
     assert code == 2 and "CSV" in err
     payload, _ = cmd_semigroup(1, "generic", "gaps", witnesses=True)
     with pytest.raises(UnsupportedCombination, match="CSV"):
-        render("semigroup", payload, "csv", io.StringIO())
+        render("semigroup", payload, "csv", io.BytesIO())
 
 
 def test_witnesses_csv_refused_before_the_table_is_built(capsys, monkeypatch):
-    # the refusal costs nothing at s = 3, where the table is about 330 MB
+    # the refusal costs nothing: neither the witness certificate nor the
+    # record windows run
     import skabelund.families as fam
 
     def build(p):
-        raise AssertionError("witness table built for a refused request")
+        raise AssertionError("witnesses built for a refused request")
 
-    monkeypatch.setattr(fam, "witness_table", build)
+    monkeypatch.setattr(fam, "witness_faults", build)
+    monkeypatch.setattr(fam, "witness_windows", build)
     code, out, err = run(capsys, "semigroup", "--s", "3", "--point", "generic",
                          "--emit", "gaps", "--witnesses", "--format", "csv")
     assert (code, out, err) == (2, "", "error: --witnesses payloads have no CSV form\n")
@@ -144,8 +146,8 @@ def test_failed_report_leaves_no_out_file(existing, capsys, monkeypatch, tmp_pat
 
     real_blocks = cli._witness_blocks
 
-    def blocks(table, fmt, sep):
-        yield next(real_blocks(table, fmt, sep))
+    def blocks(windows, q0, fmt, sep):
+        yield next(real_blocks(windows, q0, fmt, sep))
         raise MemoryError("witness block")
 
     monkeypatch.setattr(cli, "_BLOCK", 50)
@@ -407,43 +409,119 @@ def test_generic_apery_emit(capsys):
     assert apery[0] == 0
 
 
-def _corrupt_first_f4_seed(monkeypatch) -> int:
-    """Add 1 to a1 in the columnar seed of the smallest F4 gap at s = 2;
-    return that gap's value."""
+def _corrupt_monomial(monkeypatch, fid: FamilyId) -> None:
+    """Raise by one the power of the first term of the block monomial of F4
+    or F6 at family index n = 0."""
     import skabelund.families as fam
-    from skabelund import witness_table
 
-    columns = witness_table(make_params(2)).columns
-    target = columns[:, columns[1] == FamilyId.F4.value][:, 0]
-    wanted = target[2:10, None]  # the FamilyParams fields in _COLUMNS order
-    real = fam._family_params
+    real = fam._family
 
-    def corrupted(p, fid):
-        values, params, seed = real(p, fid)
-        if p.s == 2 and fid is FamilyId.F4:
-            seed[0, (params[:8] == wanted).all(axis=0)] += 1
-        return values, params, seed
+    def corrupted(p, f):
+        grid, sigma, a4cap, offset, mono = real(p, f)
+        if f is fid:
+            (row, power), *rest = mono
+            mono = [(row, power + (grid["n"] == 0)), *rest]
+        return grid, sigma, a4cap, offset, mono
 
-    monkeypatch.setattr(fam, "_family_params", corrupted)
-    return int(target[0])
+    monkeypatch.setattr(fam, "_family", corrupted)
 
 
-def test_bad_witness_seed_fails_verify(capsys, monkeypatch):
-    # a seed that misses its gap is counted as invalid, not raised
-    _corrupt_first_f4_seed(monkeypatch)
-    code, out, _ = run(capsys, "verify", "--s", "2..2")
-    assert code == 1
-    assert "[FAIL] s=2 witnesses: observed=1 invalid expected=0 invalid\n" in out
-    assert out.endswith("all_passed = False\n")
+def _n0_gaps(p, fid: FamilyId) -> list[int]:
+    """The gaps of F4 or F6 at n = 0, in value order, from the family's
+    displayed expression: a1 < q0 - 2 (F4; F6 has a1 = a2 = a3 = 0),
+    a4 = 0..min(q0 - 1, b) and f = b - a4, b = q - 2q0 - 2 - a1 - a2 - a3."""
+    from skabelund import FamilyParams
+    from oracles import family_value
+
+    outer = [(0, 0, 0)]
+    if fid is FamilyId.F4:
+        outer = [(a1, a2, a3) for a1 in range(p.q0 - 2) for a2 in range(2) for a3 in range(p.q0)]
+    sigma, gaps = p.q - 2 * p.q0 - 2, []
+    for a1, a2, a3 in outer:
+        budget = sigma - a1 - a2 - a3
+        for a4 in range(min(p.q0 - 1, budget) + 1):
+            f = budget - a4
+            nu = a1 + a2 * p.q0 + a3 * 2 * p.q0 + a4 * p.q + f * p.q * p.q
+            gaps.append(family_value(p, fid, FamilyParams(a1, a2, a3, a4, f, 0, 0, 0, sigma, nu)))
+    return sorted(gaps)
+
+
+def test_bad_witness_seed_fails_verify(capsys, monkeypatch, records_s2):
+    # a wrong F4 or F6 monomial term at n = 0 fails every gap there: verify
+    # counts them exactly, the gaps gap_witness refuses, and raises nothing
+    from skabelund import NoWitness, gap_witness
+
+    p = make_params(2)
+    for fid in (FamilyId.F4, FamilyId.F6):
+        with monkeypatch.context() as m:
+            _corrupt_monomial(m, fid)
+            code, out, _ = run(capsys, "verify", "--s", "2..2")
+            refused = []
+            for r in (r for r in records_s2[1] if r.family is fid):
+                try:
+                    gap_witness(p, r)
+                except NoWitness:
+                    refused.append(r.value)
+        assert refused == _n0_gaps(p, fid)
+        assert code == 1
+        assert f"[FAIL] s=2 witnesses: observed={len(refused)} invalid expected=0 invalid\n" in out
+        assert out.endswith("all_passed = False\n")
 
 
 def test_bad_witness_seed_fails_dump(capsys, monkeypatch):
-    # the dump raises NoWitness for the corrupted gap and writes nothing
-    value = _corrupt_first_f4_seed(monkeypatch)
+    # the dump raises NoWitness for the least gap of the corrupted n and writes nothing
+    _corrupt_monomial(monkeypatch, FamilyId.F4)
+    value = min(_n0_gaps(make_params(2), FamilyId.F4))
     code, out, err = run(capsys, "semigroup", "--s", "2", "--point", "generic",
                          "--emit", "gaps", "--witnesses", "--format", "json")
     assert (code, out) == (3, "")
     assert err == f"internal error: NoWitness: no witness for value {value} within pole budget 30750\n"
+
+
+@pytest.mark.parametrize("fid", [FamilyId.F4, FamilyId.F6])
+@pytest.mark.parametrize("s", [2, 3])
+def test_bad_monomial_fails_dump_before_any_byte(fid, s, capsys, monkeypatch, tmp_path):
+    # the certificate runs before the first byte: no output, and no --out file
+    import skabelund.families as fam
+
+    def windows(p):
+        raise AssertionError("records built for an uncertified dump")
+
+    _corrupt_monomial(monkeypatch, fid)
+    monkeypatch.setattr(fam, "witness_windows", windows)
+    p = make_params(s)
+    value = min(_n0_gaps(p, fid))
+    target = tmp_path / "dump.json"
+    code, out, err = run(capsys, "semigroup", "--s", str(s), "--point", "generic", "--emit", "gaps",
+                         "--witnesses", "--format", "json", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err == (f"internal error: NoWitness: no witness for value {value} "
+                   f"within pole budget {p.two_g_minus_2}\n")
+    assert not target.exists()
+
+
+def test_corrupted_window_exits_3_and_leaves_no_out_file(capsys, monkeypatch, tmp_path):
+    # the certificate passes, but the windows expand a wrong witness a4 for
+    # one F3 row: an internal error, and no partial file
+    import skabelund.families as fam
+
+    real = fam._family_rows
+
+    def corrupted(p, fid, params=False):
+        rows = real(p, fid, params)
+        if params and fid is FamilyId.F3:
+            rows.start[15, 1] += 1  # the witness's a4 of the second row
+        return rows
+
+    monkeypatch.setattr(fam, "_family_rows", corrupted)
+    first = real(make_params(2), FamilyId.F3)
+    value = int(first.value[1] + (first.length[1] - 1) * first.step)  # read up from its far end
+    target = tmp_path / "dump.txt"
+    code, out, err = run(capsys, "semigroup", "--s", "2", "--point", "generic", "--emit", "gaps",
+                         "--witnesses", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err == f"internal error: RuntimeError: a witness window misses the witness of {value}\n"
+    assert not target.exists()
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,8 +550,9 @@ def _dict_witness_dump(s: int, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# records go out in sub-blocks of _BLOCK // 8: 8192 at 65,536, one record
-# at 8, and 125 at 1000, whose edges fall inside the families
+# records go out in sub-blocks of _BLOCK // 32 within each window of 4,096
+# values: 2,048 at 65,536, one record at 8, and 31 at 1000, whose edges fall
+# inside the families
 @pytest.mark.parametrize("s, fmt, block", [(s, fmt, block) for s in (1, 2)
                                            for block in (65536, 1000, 8)
                                            for fmt in ("json", "text")])
@@ -495,15 +574,15 @@ def test_witness_dump_matches_dict_render(s, fmt, block, capsys, monkeypatch, tm
 
 @pytest.mark.parametrize("fmt, bound", [("json", 8_000_000), ("text", 2_500_000)])
 def test_witness_render_peak_memory(fmt, bound):
-    # the s = 2 records are written a sub-block of 2,048 at a time from the
-    # int64 table, with no Python int per field: about 5.9 MB for JSON and
-    # 1.5 MB for text, against 23.6 and 7.2 MB with one %-template per record
+    # the s = 2 records are built one window of 4,096 values at a time and
+    # written a sub-block of 512 at a time, with no Python int per field:
+    # about 2.6 MB for JSON and 2.1 MB for text, window building included
     from skabelund.cli import render
 
     payload, _ = cmd_semigroup(2, "generic", "gaps", witnesses=True)
     tracemalloc.start()
     try:
-        with open(os.devnull, "w", encoding="utf-8") as out:
+        with open(os.devnull, "wb") as out:
             render("semigroup", payload, fmt, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -511,25 +590,29 @@ def test_witness_render_peak_memory(fmt, bound):
     assert peak < bound
 
 
-class _Sha256Stream(io.TextIOBase):
-    """A text stream that keeps only the sha256 of the ASCII written to it."""
+class _Sha256Stream(io.RawIOBase):
+    """A binary stream that keeps only the sha256 of the bytes written to it."""
 
     def __init__(self):
         self.hash = hashlib.sha256()
 
-    def write(self, text):
-        self.hash.update(text.encode("ascii"))
-        return len(text)
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.hash.update(data)
+        return len(data)
 
 
 @pytest.mark.slow
 def test_witness_dump_s3_bytes():
-    # the 1,032,256 records at s = 3, 752 MB of JSON and 128 MB of text, by their sha256
+    # the 1,032,256 records at s = 3, 752 MB of JSON and 128 MB of text, by
+    # their sha256; the windows of a payload are rendered once
     from skabelund.cli import render
 
-    payload, _ = cmd_semigroup(3, "generic", "gaps", witnesses=True)
     digests = {}
     for fmt in ("text", "json"):
+        payload, _ = cmd_semigroup(3, "generic", "gaps", witnesses=True)
         out = _Sha256Stream()
         render("semigroup", payload, fmt, out=out)
         digests[fmt] = out.hash.hexdigest()
@@ -537,6 +620,28 @@ def test_witness_dump_s3_bytes():
         "text": "a30a5fdb52e96e94f4c2d8d9b82f48744cd2eb3160edcd9f7ae77293dc48bc0f",
         "json": "0f67e80adf9bd8fac0276dd35f698a619bc72c76bce378b4806aa625e8c11716",
     }
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_witness_dump_s3_peak_rss():
+    # the s = 3 JSON dump (752 MB) in a fresh process, one window at a time:
+    # about 45 MB resident on a 2-core machine, 678 MB with the whole table.
+    # The child reads its own VmHWM: its ru_maxrss would count the peak of
+    # the address space it was spawned from, this test process's.
+    child = """
+import re, sys
+from skabelund.cli import main
+code = main(["semigroup", "--s", "3", "--point", "generic", "--emit", "gaps",
+             "--witnesses", "--format", "json"])
+with open("/proc/self/status") as fh:
+    print(code, re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1), file=sys.stderr)
+"""
+    result = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, env=_CHILD_ENV, text=True, timeout=300)
+    code, peak_kb = map(int, result.stderr.split())
+    assert code == 0
+    assert peak_kb < 120 * 1024
 
 
 @pytest.mark.parametrize("argv", [
@@ -593,9 +698,9 @@ def test_json_render_matches_json_dumps(monkeypatch):
         expected = json.dumps(_listed(payload), indent=2) + "\n"
         for block in (65536, 1000):
             monkeypatch.setattr(cli, "_BLOCK", block)
-            out = io.StringIO()
+            out = io.BytesIO()
             cli.render("semigroup", payload, "json", out)
-            assert out.getvalue() == expected
+            assert out.getvalue().decode() == expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -658,9 +763,9 @@ def test_text_and_csv_series_match_per_item_render(s, point, emit, fmt, block, c
     assert code == 0
     payload = _semigroup_payload(s, point, emit)
     assert out == _per_item_render(payload, fmt)
-    rendered = io.StringIO()
+    rendered = io.BytesIO()
     cli.render("semigroup", payload, fmt, rendered)
-    assert rendered.getvalue() == out
+    assert rendered.getvalue().decode() == out
     target = tmp_path / "report.txt"
     assert main([*argv, "--out", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == out
@@ -680,8 +785,9 @@ def test_decimal_matches_str_join(sep):
     cases += [np.sort(rng.integers(0, high, size)).tolist()
               for high in (10, 1000, 2**31, 2**63 - 1) for size in (1, 17, 5000)]
     for values in cases:
-        assert _decimal(np.asarray(values, dtype=np.int64), sep) == sep.join(map(str, values))
-    assert _decimal(np.empty(0, dtype=np.int64), sep) == ""
+        expected = sep.join(map(str, values)).encode()
+        assert _decimal(np.asarray(values, dtype=np.int64), sep) == expected
+    assert _decimal(np.empty(0, dtype=np.int64), sep) == b""
 
 
 @pytest.mark.parametrize("values", [[-1], [-5, 3], [3, 2], [10**18, 9], [0, 5, 4, 6]])
@@ -710,7 +816,7 @@ def test_records_match_template(sep):
               for n in (1, 17, 5000)]
     for x in cases:
         expected = sep.join(template % tuple(r) for r in x.T.tolist())
-        assert _records(np.asarray(x, dtype=np.int64), literals, sep) == expected
+        assert _records(np.asarray(x, dtype=np.int64), literals, sep) == expected.encode()
 
 
 @pytest.mark.parametrize("values", [[[-1]], [[3, -5]], [[0, 1], [2, -(2**63)]]])
@@ -733,7 +839,7 @@ def test_gap_dump_peak_memory(point):
     tracemalloc.start()
     try:
         payload, _ = cmd_semigroup(3, point, "gaps")
-        with open(os.devnull, "w", encoding="utf-8") as out:
+        with open(os.devnull, "wb") as out:
             render("semigroup", payload, "json", out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -301,7 +301,7 @@ def test_family_records_sorted_partition(p1, records_s1):
     seen = []
     for fid in FamilyId:
         values = [r.value for r in family(records_s1, fid)]
-        assert values == sorted(fam._expand(fam._family_rows(p1, fid))[0].tolist())
+        assert values == sorted(fam._expand(fam._family_rows(p1, fid)).tolist())
         seen.extend(values)
     assert sorted(seen) == [r.value for r in records_s1[1]]
 

@@ -11,10 +11,10 @@ from skabelund import (
     FamilyParams,
     GapRecord,
     NoWitness,
+    WitnessVector,
     gap_witness,
     make_params,
     pole_order_table,
-    witness_table,
 )
 
 
@@ -92,53 +92,107 @@ def test_no_witness_beyond_weierstrass_bound(p1):
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_seeds_match_oracle(s, request):
-    # the columnar seed rule, read per record and per table column, equals
+    # the columnar witnesses, read per record and per window column, equal
     # the per-record oracle on every gap
     p = request.getfixturevalue(f"p{s}")
     _, records = request.getfixturevalue(f"records_s{s}")
-    table = witness_table(p)
-    assert table.valid.all()
-    assert table.columns[0].tolist() == [r.value for r in records]
-    assert table.columns[1].tolist() == [r.family.value for r in records]
+    columns = np.concatenate(list(fam.witness_windows(p)), axis=1)
+    assert fam.witness_faults(p) == (0, None)
+    assert columns[0].tolist() == [r.value for r in records]
+    assert columns[1].tolist() == [r.family.value for r in records]
+    assert columns[2:12].T.tolist() == [list(dataclasses.astuple(r.params)) for r in records]
     expected = [witness_fields(family_seed(p, r)) for r in records]
-    assert table.columns[12:].T.tolist() == expected
+    assert columns[12:].T.tolist() == expected
     assert [witness_fields(gap_witness(p, r)) for r in records] == expected
 
 
-def test_pole_bound_is_inclusive(p2, records_s2):
-    # a budget equal to the largest seed pole cost passes every gap; one less
-    # fails exactly the gaps at that cost, in the table and in gap_witness
+@pytest.mark.parametrize("width", [1, 7, 1000, 10**6])
+def test_windows_of_any_width_give_the_same_records(width, p2, monkeypatch):
+    # rows cross window edges at every width; empty windows yield no record
+    every = np.concatenate(list(fam.witness_windows(p2)), axis=1)
+    monkeypatch.setattr(fam, "_WINDOW", width)
+    assert np.array_equal(np.concatenate(list(fam.witness_windows(p2)), axis=1), every)
+
+
+def test_pole_bound_is_inclusive(p2, records_s2, monkeypatch):
+    # a budget equal to the largest witness pole cost passes every gap; one
+    # less fails exactly the gaps at that cost, in the certificate, in the
+    # dump (before its records are built) and in gap_witness
+    from skabelund import curve
+    from skabelund.cli import cmd_semigroup
+
     _, records = records_s2
     poles = [witness_cost(p2, gap_witness(p2, r))[1] for r in records]
     top = max(poles)
-    assert witness_table(dataclasses.replace(p2, two_g_minus_2=top)).valid.all()
+    assert fam.witness_faults(dataclasses.replace(p2, two_g_minus_2=top)) == (0, None)
     tight = dataclasses.replace(p2, two_g_minus_2=top - 1)
-    table = witness_table(tight)
-    failing = [i for i, cost in enumerate(poles) if cost == top]
-    assert np.flatnonzero(~table.valid).tolist() == failing
-    first = records[failing[0]].value
-    with pytest.raises(NoWitness, match=f"^no witness for value {first} within pole budget {top - 1}$"):
-        table.require_valid()
-    with pytest.raises(NoWitness):
-        gap_witness(tight, records[failing[0]])
+    failing = [r for r, cost in zip(records, poles) if cost == top]
+    assert fam.witness_faults(tight) == (len(failing), failing[0].value)
+    monkeypatch.setattr(curve, "make_params", lambda s: tight)
+    message = f"^no witness for value {failing[0].value} within pole budget {top - 1}$"
+    with pytest.raises(NoWitness, match=message):
+        cmd_semigroup(2, "generic", "gaps", witnesses=True)
+    with pytest.raises(NoWitness, match=message):
+        gap_witness(tight, failing[0])
 
 
-def test_witness_table_peak_memory(p2):
-    # the per-family blocks are freed once joined, and the value sort copies
-    # one row at a time, not the table: the peak is the join, about twice
-    # the table
-    witness_table(p2)
+def test_f1_pole_fault_names_a4_t_f_0(p2, monkeypatch):
+    # F1 tuple a1 = a2 = a3 = 0 given the block h_1, with its offset raised
+    # by h_1's valuation so that the valuations hold: its pole cost passes
+    # 2g - 2 from some a4 + f = T on, and exactly those gaps fail, the least
+    # at a4 = T and f = 0.  The gaps and costs here are read off by name.
+    real = fam._family
+    h1 = pole_order_table(p2).h[0]
+
+    def faulted(p, fid):
+        grid, sigma, a4cap, offset, mono = real(p, fid)
+        if fid is FamilyId.F1:
+            first = (np.arange(len(grid["a3"])) == 0).astype(np.int64)
+            offset, mono = offset + h1[0] * first, [(0 * first, first)]  # row 0: h_1
+        return grid, sigma, a4cap, offset, mono
+
+    monkeypatch.setattr(fam, "_family", faulted)
+    q0, q, budget = p2.q0, p2.q, p2.q - 2
+    b = (1,) + (0,) * (2 * q0 - 3)
+    failing = []
+    for a4 in range(budget + 1):
+        for f in range(budget - a4 + 1):
+            witness = WitnessVector(0, 0, 0, a4, f, b, 0, 0, (0,) * (q0 - 1))
+            valuation, pole = witness_cost(p2, witness)
+            if pole > p2.two_g_minus_2:
+                failing.append((valuation + 1, a4, f))
+    value, a4, f = min(failing)
+    assert (a4, f) == (min(a + g for _, a, g in failing), 0)  # (T, 0)
+    assert 0 < len(failing) < (budget + 1) * (budget + 2) // 2
+    assert fam.witness_faults(p2) == (len(failing), value)
+
+
+def test_witness_window_peak_memory(p3):
+    # past the rows' first records, each window is built on its own: one
+    # gather of the window's columns, sorted by value before the gather, so
+    # one step's peak stays below twice the widest window (1.3 MB at s = 3;
+    # all records at once were 330 MB)
+    windows = fam.witness_windows(p3)
+    window = next(windows)
+    steps = []
     tracemalloc.start()
     try:
-        table = witness_table(p2)
-        peak = tracemalloc.get_traced_memory()[1]
+        for _ in range(2 * p3.genus // fam._WINDOW):
+            del window
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            window = next(windows)
+            steps.append((tracemalloc.get_traced_memory()[1] - before, window.nbytes))
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * table.columns.nbytes
+    widest = max(size for _, size in steps)
+    assert widest <= 40 * fam._WINDOW * 8
+    assert max(peak for peak, _ in steps) < 2 * widest
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_witness_certificate_per_family_tuple(s):
+    # the certificate of families.witness_faults, restated term by term:
     # every gap of an outer tuple is nu + offset, witnessed by
     # x^a1 y^a2 z^a3 w^a4 pi^f times the tuple's block monomial, so the
     # monomial's valuation must be offset - 1.  w and pi share one pole
@@ -161,3 +215,4 @@ def test_witness_certificate_per_family_tuple(s):
         budget = sigma - a1 - a2 - a3
         top = a1 * t.x[1] + a2 * t.y[1] + a3 * t.z[1] + budget * t.w[1] + pole
         assert (top[budget >= 0] <= p.two_g_minus_2).all(), fid
+    assert fam.witness_faults(p) == (0, None)
