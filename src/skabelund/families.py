@@ -248,21 +248,34 @@ def _distinct(p: CurveParams, step: int, lo: np.ndarray, hi: np.ndarray) -> bool
     """Whether the ends of the rows lo..hi of one lattice show that they hold
     no value twice, and none of the other lattice's.
 
-    Two rows share a value only if they lie in one class mod ``step`` and
-    overlap: sorted by (lo mod step, lo), each must end below the next one's
-    low end in its class.  F1 (step q^2) lies in {1 + x : ds(x) <= q - 2},
-    ds the digit sum, and F2..F6 (step q^2 - q) outside it.  Up an F1 row ds
-    gains one per step, so its top end decides; up an F2..F6 row ds holds
-    still, or gains q - 1 where the a4 digit borrows, so its low end does.
+    F1 (step q^2) lies in {1 + x : ds(x) <= q - 2}, ds the digit sum, and
+    F2..F6 (step q^2 - q) outside it.  Up an F1 row ds gains one per step,
+    so its top end decides; up an F2..F6 row ds holds still, or gains q - 1
+    where the a4 digit borrows, so its low end does.  Two rows share a
+    value only if they lie in one class mod ``step`` and overlap.  Written
+    class after class, as (x mod step)*w + x div step with w above every
+    x div step, each row is an interval of one line on which no two classes
+    meet, so the row ends are sorted per class by sorting that line.  The
+    intervals are disjoint iff, with the low ends and the high ends each
+    sorted on its own, every high end lies below the next low end.
     """
-    cls = lo % step
-    order = np.lexsort((lo, cls))
-    cls, lo, hi = cls[order], lo[order], hi[order]
-    if ((cls[1:] == cls[:-1]) & (hi[:-1] >= lo[1:])).any():
-        return False
     if step == p.q * p.q:
-        return bool((_digit_sum(p, hi - 1) <= p.q - 2).all())
-    return bool((_digit_sum(p, lo - 1) >= p.q - 1).all())
+        if (_digit_sum(p, hi - 1) > p.q - 2).any():
+            return False
+    elif (_digit_sum(p, lo - 1) < p.q - 1).any():
+        return False
+    w = int(hi.max(initial=0)) // step + 1
+    line = []
+    for x in (lo, hi):
+        y = x % step
+        y *= w
+        y += x // step
+        y.sort()
+        line.append(y)
+    return not (line[1][:-1] >= line[0][1:]).any()
+
+
+_CHUNK = 1 << 12  # rows per pass of _add_rows, and residues per pass of its read-out
 
 
 def _add_rows(lo: np.ndarray, length: np.ndarray, step: int,
@@ -272,29 +285,51 @@ def _add_rows(lo: np.ndarray, length: np.ndarray, step: int,
 
     Up a row the residue moves by t = step mod m, around one of the
     d = gcd(t, m) cycles of Z/m under +t, each n = m/d long; residue r sits
-    at place (r div d)*(t/d)^-1 mod n of cycle r mod d.  Laid out twice in
-    a row per cycle, the cycles turn a row of at most n values into one run
-    of positions Q, along which its value is base + Q*step.  Difference
-    arrays of the counts and the bases give both sums per position, and the
-    two laps of each cycle add up per residue.
+    at place (r div d)*(t/d)^-1 mod n of cycle r mod d, and place j of
+    cycle c holds residue c + d*(j*(t/d) mod n).  Laid out twice in a row
+    per cycle, the cycles turn a row of at most n values into one run of
+    places u < 2n, along which its value is base + u*step.  Difference
+    arrays of the counts (int32) and the bases, filled ``_CHUNK`` rows at a
+    time and summed in place, give both sums per place.  Lap 2 is then
+    folded onto lap 1 in place: its values lie n steps above lap 1's, so
+    it adds its count times n*step once, and the folded count times j*step
+    adds the rest.  ``k`` and ``total`` gather the folded lap in residue
+    order, ``_CHUNK`` residues at a time.  Every product with ``step`` is
+    taken in int64: an int32 count times a Python int past 2^31 overflows.
     """
     m = len(k)
     t, d = step % m, math.gcd(step, m)
     n = m // d
     if (length > n).any():
         raise RuntimeError(f"a row of {int(length.max())} values wraps its residue cycle of {n}")
-    r = lo % m
-    start = r % d * 2 * n + r // d * pow(t // d, -1, n) % n
-    base = lo - start * step
-    diff_k, diff_v = np.zeros(2 * m + 1, dtype=np.int64), np.zeros(2 * m + 1, dtype=np.int64)
-    for at, sign in ((start, 1), (start + length, -1)):
-        np.add.at(diff_k, at, sign)
-        np.add.at(diff_v, at, sign * base)
-    count = np.cumsum(diff_k[:-1])
-    values = np.cumsum(diff_v[:-1]) + count * np.arange(2 * m) * step
-    res = ((np.arange(d)[:, None] + np.arange(n) * t) % m).reshape(m)
-    k[res] += count.reshape(d, 2, n).sum(axis=1).reshape(m)
-    total[res] += values.reshape(d, 2, n).sum(axis=1).reshape(m)
+    turn = pow(t // d, -1, n)
+    count, value = np.zeros(2 * m, dtype=np.int32), np.zeros(2 * m, dtype=np.int64)
+    for i in range(0, len(lo), _CHUNK):
+        row = lo[i:i + _CHUNK]
+        r = row % m
+        place = r // d * turn % n
+        at = r % d * (2 * n) + place  # a row's end mark lands by place 2n - 1 of its cycle
+        base = row - place * step
+        np.add.at(count, at, np.int32(1))
+        np.add.at(value, at, base)
+        at += length[i:i + _CHUNK]
+        np.subtract.at(count, at, np.int32(1))
+        np.subtract.at(value, at, base)
+    np.cumsum(count, dtype=np.int32, out=count)
+    np.cumsum(value, out=value)
+    count, value = count.reshape(d, 2, n), value.reshape(d, 2, n)
+    value[:, 0] += value[:, 1]
+    np.multiply(count[:, 1], np.int64(n * step), out=value[:, 1])
+    value[:, 0] += value[:, 1]
+    count[:, 0] += count[:, 1]
+    np.multiply(count[:, 0], np.arange(n, dtype=np.int64) * step, out=value[:, 1])
+    value[:, 0] += value[:, 1]
+    place = np.arange(n) * turn % n  # in cycle c, of residue c + d*u for u = 0, 1, ...
+    k, total, per = k.reshape(n, d), total.reshape(n, d), max(1, _CHUNK // d)
+    for u in range(0, n, per):
+        j = place[u:u + per]
+        k[u:u + per] += count[:, 0, j].T
+        total[u:u + per] += value[:, 0, j].T
 
 
 def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
@@ -302,35 +337,52 @@ def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
     and each family's count, from the progression rows alone: k[r] family
     values are congruent to r modulo the generic multiplicity m = q^2 - 2q0.
 
+    Each family's rows are cut down to their two ends as soon as they are
+    built, and each lattice is counted from its ends and then let go, so no
+    row columns, and no copy of F1's ends (about m rows), stay alive beside
+    the count; at the peak, in :func:`_add_rows` on F1, that leaves F1's
+    low ends and lengths, k and the value sums, and the two laps of int32
+    count and int64 value differences: about seven m-long int64 arrays.
+
     Raises RuntimeError naming the first value outside [1, 2g) of the first
     family with a row end outside.  Where :func:`_distinct` cannot tell the
-    rows apart, they are expanded, and DuplicateGap names the first value,
-    in enumeration order, produced twice.  Distinct values of residue r are
-    r, r + m, ..., r + (k - 1)m iff they sum to k*r + m*k(k - 1)/2; NotClosed
-    names the first residue whose sum (:func:`_add_rows`) is another.
-    RuntimeError follows unless sum(k) is the genus.
+    rows apart, they are built again and expanded, and DuplicateGap names
+    the first value, in enumeration order, produced twice.  Distinct values
+    of residue r are r, r + m, ..., r + (k - 1)m iff they sum to
+    k*r + m*k(k - 1)/2; NotClosed names the first residue whose sum
+    (:func:`_add_rows`) is another.  RuntimeError follows unless sum(k) is
+    the genus.
     """
     limit, m = 2 * p.genus, p.q * p.q - 2 * p.q0
-    rows = {fid: _family_rows(p, fid) for fid in FamilyId}
-    lattices = {}
-    for r in rows.values():
+    counts, ends = {}, {}
+    for fid in FamilyId:
+        r = _family_rows(p, fid)
+        counts[fid] = int(r.length.sum())
         last = r.value + (r.length - 1) * r.step
-        lo, hi = np.minimum(r.value, last), np.maximum(r.value, last)
+        lo, hi = (r.value, last) if r.step > 0 else (last, r.value)
         if (lo < 1).any() or (hi >= limit).any():
             values = _expand(r)
             outside = (values < 1) | (values >= limit)
             raise RuntimeError(f"gap value {values[outside][0]} outside [1, {limit})")
-        lattices.setdefault(abs(r.step), []).append((lo, hi))
-    lattices = {step: [np.concatenate(e) for e in zip(*ends)] for step, ends in lattices.items()}
-    if not all(_distinct(p, step, lo, hi) for step, (lo, hi) in lattices.items()):
-        every = np.concatenate([_expand(r) for r in rows.values()])
+        ends.setdefault(abs(r.step), []).append((lo, hi))
+    # F1, alone on its lattice, keeps its ends uncopied
+    lattices = [(step, *(e[0] if len(e) == 1 else np.concatenate(e) for e in zip(*parts)))
+                for step, parts in ends.items()]
+    del ends
+    if not all(_distinct(p, *lattice) for lattice in lattices):
+        every = np.concatenate([_expand(_family_rows(p, fid)) for fid in FamilyId])
         repeat = np.ones(len(every), dtype=bool)
         repeat[np.unique(every, return_index=True)[1]] = False
         if repeat.any():
             raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")
     k, total = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    for step, (lo, hi) in lattices.items():
-        _add_rows(lo, (hi - lo) // step + 1, step, k, total)
+    while lattices:  # each lattice's ends are let go once it is counted
+        step, lo, hi = lattices.pop(0)
+        length = hi - lo
+        del hi
+        length //= step
+        length += 1
+        _add_rows(lo, length, step, k, total)
     expected = k * np.arange(m) + m * (k * (k - 1) // 2)
     if (total != expected).any():
         r = int(np.argmax(total != expected))
@@ -339,7 +391,7 @@ def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
     profile = SemigroupProfile(k)
     if profile.genus != p.genus:
         raise RuntimeError(f"complement profile has genus {profile.genus}, expected {p.genus}")
-    return profile, {fid: int(r.length.sum()) for fid, r in rows.items()}
+    return profile, counts
 
 
 def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
@@ -528,15 +580,16 @@ def witness_windows(p: CurveParams) -> Iterator[np.ndarray]:
 
 
 def gap_witness(p: CurveParams, record: GapRecord) -> WitnessVector:
-    """A record's witness, its a1..f times the block monomial of the family
-    tuple holding its (n, c, d), checked: valuation value - 1 and pole cost
-    within 2g - 2 (:func:`witness_faults` certifies every gap); one that
-    fails, or (n, c, d) in no tuple, raises NoWitness.
+    """A record's witness, its a1..f times the block monomial of its family
+    tuple (the grid entry that matches the record on every key), checked:
+    valuation value - 1 and pole cost within 2g - 2 (:func:`witness_faults`
+    certifies every gap); one that fails, or no matching tuple, raises
+    NoWitness.
     """
     t, _, _, _, mono = _family(p, record.family)
     fp, hit = record.params, np.ones(len(t["a3"]), dtype=bool)
-    for k in set(t) & {"n", "c", "d"}:
-        hit &= t[k] == getattr(fp, k)
+    for k, column in t.items():
+        hit &= column == getattr(fp, k)
     at = np.flatnonzero(hit)[:1]
     if not at.size:
         raise _no_witness(p, record.value)

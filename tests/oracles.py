@@ -9,8 +9,9 @@ time in plain Python, the paper's displayed family expressions and the
 witness monomials that ``families._family`` lists beside each family's
 offset, and the witness cost reads each exponent against its building block
 by name.  The scatter
-mask marks the generic gaps value by value, where ``families.kunz_counts``
-counts whole progression rows per residue.  The phi formula
+mask marks the generic gaps value by value, and the row oracle adds them to
+their residues one by one, where ``families.kunz_counts`` counts whole
+progression rows per residue.  The phi formula
 restates the paper's piecewise offset map over whole index arrays, with
 none of the per-cell tables that ``skabelund.curve`` streams its Apery sets from.
 """
@@ -182,6 +183,20 @@ def scatter_gap_mask(p) -> tuple[np.ndarray, dict[FamilyId, int]]:
         repeat[np.unique(every, return_index=True)[1]] = False
         raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")
     return marked, counts
+
+
+def add_rows_oracle(lo: np.ndarray, length: np.ndarray, step: int,
+                    m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count and the value sum of each residue modulo m over the rows
+    lo, lo + step, ... (``length`` values each), value by value in Python
+    ints, as int64 arrays: what ``families._add_rows`` adds in."""
+    k, total = [0] * m, [0] * m
+    for first, n in zip(lo.tolist(), length.tolist()):
+        for j in range(n):
+            value = first + j * step
+            k[value % m] += 1
+            total[value % m] += value
+    return np.array(k, dtype=np.int64), np.array(total, dtype=np.int64)
 
 
 def phi_formula(p, idx: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 import dataclasses
+import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,7 +29,7 @@ from skabelund import (
     profile_from_generators,
 )
 import skabelund.families as fam
-from oracles import family_value, nu_of, scatter_gap_mask
+from oracles import add_rows_oracle, family_value, nu_of, scatter_gap_mask
 
 TABLE1_COUNTS = {
     1: (146, 31, 8, 0, 9, 2),
@@ -240,18 +244,47 @@ def test_kunz_counts_mutations_match_scatter_oracle(fid, mutate, error, p2, monk
         fam.kunz_counts(p2)
 
 
-def test_kunz_counts_peak_memory(p3):
-    # the counts come from the 17,992 rows (value and length, no exponent
-    # columns) and arrays over the m = 16,368 residues, 2.9 MiB at s = 3,
-    # never from the million expanded int64 values of the oracle or an
-    # array over [0, 2g)
+def _kunz_counts_peak(p) -> int:
     tracemalloc.start()
     try:
-        fam.kunz_counts(p3)
-        peak = tracemalloc.get_traced_memory()[1]
+        fam.kunz_counts(p)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.2 * 2**20
+
+
+def test_kunz_counts_peak_memory(p3):
+    # the counts come from the ends of the 17,992 rows and a few arrays over
+    # the m = 16,368 residues, 1.19 MiB at s = 3, never from the million
+    # expanded int64 values of the oracle or an array over [0, 2g)
+    assert _kunz_counts_peak(p3) < 1.35 * 2**20
+
+
+def test_kunz_counts_peak_memory_size_four():
+    # about seven m-long int64 arrays at m = 262,112: 14.5 MiB
+    assert _kunz_counts_peak(make_params(4)) < 16.5 * 2**20
+
+
+@pytest.mark.parametrize("m, step", [
+    (12, 2**31 + 5),      # one cycle
+    (12, 2**31 + 8),      # four cycles of three
+    (30, 2**32 + 6),      # two cycles of fifteen
+    (12, 3 * 2**31),      # step 0 mod m: twelve cycles of one
+])
+def test_add_rows_matches_brute_force(m, step, monkeypatch):
+    # random rows against the value-by-value oracle, with steps past 2^31,
+    # where an int32 count times a Python-int step would overflow, and with
+    # passes of 7 rows and residues as well as one pass of all of them
+    rng = np.random.default_rng(m + step)
+    n = m // math.gcd(step, m)
+    lo, length = rng.integers(0, 1000, 40), rng.integers(1, n + 1, 40)
+    expected = add_rows_oracle(lo, length, step, m)
+    for chunk in (7, fam._CHUNK):
+        monkeypatch.setattr(fam, "_CHUNK", chunk)
+        k, total = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        fam._add_rows(lo, length, step, k, total)
+        assert np.array_equal(k, expected[0])
+        assert np.array_equal(total, expected[1])
 
 
 def test_duplicated_row_names_first_repeat(p2, monkeypatch):
@@ -394,7 +427,7 @@ def test_hole_in_complement_detected(s, request, monkeypatch):
 @pytest.mark.slow
 def test_generic_semigroup_size_four():
     # the generic class at s = 4 from its row counts, with the exact sweep;
-    # traced peak 62 MB, below one int8 lattice over [0, 2g) (133.7 MB)
+    # traced peak 15 MB, below one int8 lattice over [0, 2g) (133.7 MB)
     p = make_params(4)
     tracemalloc.start()
     try:
@@ -408,3 +441,32 @@ def test_generic_semigroup_size_four():
     assert len(generic.generators) == 1504
     assert generic.generators[:4] == (262_112, 262_128, 262_143, 262_144)
     assert peak < 2 * p.genus
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_kunz_counts_size_five():
+    # s = 5 in a fresh process: generic_semigroup and the CLI stop at s = 4,
+    # but kunz_counts runs uncapped, with sum(k) = g and each family count
+    # the closed form's, in about 290 MB resident.  The child reads its own
+    # VmHWM: its ru_maxrss would count the peak of the address space it was
+    # spawned from.
+    child = """
+import re
+from skabelund import FamilyId, family_count_closed_form, make_params
+from skabelund.families import kunz_counts
+p = make_params(5)
+profile, counts = kunz_counts(p)
+closed = all(counts[f] == family_count_closed_form(p, f) for f in FamilyId)
+with open("/proc/self/status") as fh:
+    peak = re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1)
+print(profile.multiplicity, int(profile.k.sum()), p.genus, closed, peak)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    m, total, genus, closed, peak_kb = result.stdout.split()
+    assert (int(m), int(total), int(genus), closed) == (4_194_240, 4_290_774_016, 4_290_774_016, "True")
+    assert int(peak_kb) < 360 * 1024

@@ -136,6 +136,32 @@ def test_pole_bound_is_inclusive(p2, records_s2, monkeypatch):
         gap_witness(tight, failing[0])
 
 
+def test_gap_witness_reads_the_tuple_of_every_key(p2, records_s2, monkeypatch):
+    # the F4 monomial raised at the one tuple n = a1 = a2 = a3 = 0 only:
+    # gap_witness refuses that tuple's 4 gaps, those witness_faults counts,
+    # and not the 64 gaps of F4 at n = 0
+    real = fam._family
+
+    def raised(p, fid):
+        grid, sigma, a4cap, offset, mono = real(p, fid)
+        if fid is FamilyId.F4:
+            first = (grid["n"] == 0) & (grid["a1"] == 0) & (grid["a2"] == 0) & (grid["a3"] == 0)
+            (row, power), *rest = mono
+            mono = [(row, power + first), *rest]
+        return grid, sigma, a4cap, offset, mono
+
+    monkeypatch.setattr(fam, "_family", raised)
+    refused = []
+    for r in (r for r in records_s2[1] if r.family is FamilyId.F4):
+        try:
+            gap_witness(p2, r)
+        except NoWitness:
+            refused.append(r)
+    assert len(refused) == 4
+    assert fam.witness_faults(p2) == (4, refused[0].value)
+    assert {(r.params.n, r.params.a1, r.params.a2, r.params.a3) for r in refused} == {(0, 0, 0, 0)}
+
+
 def test_f1_pole_fault_names_a4_t_f_0(p2, monkeypatch):
     # F1 tuple a1 = a2 = a3 = 0 given the block h_1, with its offset raised
     # by h_1's valuation so that the valuations hold: its pole cost passes
