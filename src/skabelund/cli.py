@@ -10,6 +10,7 @@ unwritable ``--out`` path), 3 internal error or exhausted memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,30 +239,42 @@ def _decimal(v: np.ndarray, sep: str) -> bytes:
     """sep.join(map(str, v)), as ASCII bytes, for a nondecreasing,
     nonnegative int64 array.
 
-    The values of w digits are one run, cut by searchsorted.  w passes of
-    x // 10 and its remainder fill a (w, n) digit matrix, last digit first;
-    its transpose and sep fill the run's (n, w + len(sep)) ASCII bytes.
+    The values of w digits are one run, cut by searchsorted.  A value's
+    ceil(w / 4) four-digit words come from the table of :func:`_words`, its
+    lowest word first and one x // 10000 before each next; the last w bytes
+    of its words and then sep fill its record in the block's one buffer.
     """
     if v.size and (v[0] < 0 or (v[1:] < v[:-1]).any()):
         raise ValueError("a series must be nondecreasing and nonnegative")
-    tail = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+    table, tail = _words(), sep.encode("ascii")
     cuts = [0, *np.searchsorted(v, _POWERS).tolist(), v.size]
-    runs = []
-    for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
-        if lo == hi:
-            continue
-        x, digits = v[lo:hi], np.empty((w, hi - lo), dtype=np.uint8)
-        for row in range(w - 1, -1, -1):
-            q = x // 10  # a scalar floor division, several times faster than np.divmod
-            digits[row] = x - 10 * q
+    runs = [(w, lo, hi) for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1) if lo < hi]
+    buf, at = np.empty(sum((hi - lo) * (w + len(tail)) for w, lo, hi in runs), dtype=np.uint8), 0
+    for w, lo, hi in runs:
+        k, x = (w + 3) // 4, v[lo:hi]
+        words = np.empty((hi - lo, k), dtype=np.uint32)
+        for col in range(k - 1, 0, -1):  # mode "clip": "raise" would buffer the strided out
+            q = x // 10000
+            np.take(table, x - 10000 * q, out=words[:, col], mode="clip")
             x = q
-        digits += ord("0")
-        run = np.empty((hi - lo, w + tail.size), dtype=np.uint8)
-        run[:, :w] = digits.T
-        run[:, w:] = tail
-        runs.append(run.tobytes())
-    text = b"".join(runs)
-    return text[:len(text) - tail.size]
+        np.take(table, x, out=words[:, 0], mode="clip")
+        run = buf[at:at + (hi - lo) * (w + len(tail))].view([("d", f"V{w}"), ("s", f"V{len(tail)}")])
+        run["d"] = words.view(np.uint8)[:, 4 * k - w:].view(f"V{w}")[:, 0]
+        run["s"] = np.void(tail)
+        at += run.nbytes
+    return buf[:buf.size - len(tail)].tobytes()
+
+
+@functools.cache
+def _words() -> np.ndarray:
+    """The 10**4 ASCII words "0000".."9999", one uint32 each: word i holds
+    the four digits of i.  Built on the first series a process writes."""
+    words = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for place in range(4):  # digit `place` of i varies along axis `place`
+        words[..., place] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - place))
+    words = words.view(np.uint32).reshape(-1)
+    words.flags.writeable = False
+    return words
 
 
 def _witness_blocks(windows: Iterator[np.ndarray], q0: int, fmt: str, sep: str) -> Iterator[bytes]:

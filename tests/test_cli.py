@@ -622,18 +622,14 @@ def test_witness_dump_s3_bytes():
     }
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
-def test_witness_dump_s3_peak_rss():
-    # the s = 3 JSON dump (752 MB) in a fresh process, one window at a time:
-    # about 45 MB resident on a 2-core machine, 678 MB with the whole table.
-    # The child reads its own VmHWM: its ru_maxrss would count the peak of
-    # the address space it was spawned from, this test process's.
-    child = """
+def _child_peak_kb(argv: list[str]) -> int:
+    """main(argv) in a fresh process, stdout to /dev/null; its exit code must
+    be 0.  The child reads its own VmHWM: its ru_maxrss would count the peak
+    of the address space it was spawned from, this test process's."""
+    child = f"""
 import re, sys
 from skabelund.cli import main
-code = main(["semigroup", "--s", "3", "--point", "generic", "--emit", "gaps",
-             "--witnesses", "--format", "json"])
+code = main({argv!r})
 with open("/proc/self/status") as fh:
     print(code, re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1), file=sys.stderr)
 """
@@ -641,7 +637,29 @@ with open("/proc/self/status") as fh:
                             stderr=subprocess.PIPE, env=_CHILD_ENV, text=True, timeout=300)
     code, peak_kb = map(int, result.stderr.split())
     assert code == 0
-    assert peak_kb < 120 * 1024
+    return peak_kb
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_witness_dump_s3_peak_rss():
+    # the s = 3 JSON dump (752 MB) in a fresh process, one window at a time:
+    # about 45 MB resident on a 2-core machine, 678 MB with the whole table
+    argv = ["semigroup", "--s", "3", "--point", "generic", "--emit", "gaps", "--witnesses",
+            "--format", "json"]
+    assert _child_peak_kb(argv) < 120 * 1024
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("point", ["generic", "quartic"])
+def test_gap_dump_s3_peak_rss(point):
+    # the plain s = 3 JSON gap dump (12.5 MB generic, 1,032,256 gaps) in a
+    # fresh process, streamed 16,384 gaps at a block: 32.2-32.4 MiB resident
+    # generic and 31.0-31.2 MiB quartic on a 2-core machine.  The bound is
+    # the generic peak plus 14%; holding the dump's text whole adds 12 MiB.
+    argv = ["semigroup", "--s", "3", "--point", point, "--emit", "gaps", "--format", "json"]
+    assert _child_peak_kb(argv) < 37 * 1024
 
 
 @pytest.mark.parametrize("argv", [
@@ -788,6 +806,22 @@ def test_decimal_matches_str_join(sep):
         expected = sep.join(map(str, values)).encode()
         assert _decimal(np.asarray(values, dtype=np.int64), sep) == expected
     assert _decimal(np.empty(0, dtype=np.int64), sep) == b""
+
+
+@pytest.mark.parametrize("sep", ["", " ", "\n", ",\n    "])
+def test_decimal_matches_records(sep):
+    # the series writer and the record writer, which share no code, give one
+    # answer on the cases of test_decimal_matches_str_join
+    from skabelund.cli import _decimal, _records
+
+    rng = np.random.default_rng(12)
+    cases = [[0], [7], [10**18], [2**63 - 1], [0, 0, 5], _BOUNDARIES, [0, *_BOUNDARIES], []]
+    cases += [[b] for b in _BOUNDARIES]
+    cases += [np.sort(rng.integers(0, high, size)).tolist()
+              for high in (10, 1000, 2**31, 2**63 - 1) for size in (1, 17, 5000)]
+    for values in cases:
+        v = np.asarray(values, dtype=np.int64)
+        assert _records(v[None, :], ["", ""], sep) == _decimal(v, sep)
 
 
 @pytest.mark.parametrize("values", [[-1], [-5, 3], [3, 2], [10**18, 9], [0, 5, 4, 6]])

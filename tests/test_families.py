@@ -287,6 +287,24 @@ def test_add_rows_matches_brute_force(m, step, monkeypatch):
         assert np.array_equal(total, expected[1])
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_family_rows_stay_in_lap_one(s):
+    # place + length <= n for every row of the six families, with the place
+    # of each row's low end in its residue cycle of n computed as _add_rows
+    # computes it: no row runs into lap 2, whose counts stay zero here, and
+    # only test_add_rows_matches_brute_force exercises the fold
+    p = make_params(s)
+    m = p.q * p.q - 2 * p.q0
+    for fid in FamilyId:
+        r = fam._family_rows(p, fid)
+        step = abs(r.step)
+        t, d = step % m, math.gcd(step, m)
+        n = m // d
+        lo = np.minimum(r.value, r.value + (r.length - 1) * r.step)
+        place = lo % m // d * pow(t // d, -1, n) % n
+        assert not (place + r.length > n).any(), fid
+
+
 def test_duplicated_row_names_first_repeat(p2, monkeypatch):
     # one F2 progression row listed twice in a row: the first repeated
     # value, in enumeration order, is where the copy starts
