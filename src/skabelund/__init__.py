@@ -7,7 +7,9 @@ generic), cross-verifies the closed-form descriptions against a general
 shortest-path Apery engine, and reproduces the per-family gap counts.
 
 The generic-class names of :mod:`skabelund.families` resolve on first
-use, so a run that stays with the special classes never imports it.
+use, so a run that stays with the special classes never imports it, and
+numpy loads on the first array: the package import, the parameters
+and the special-class statistics run without it.
 """
 
 from .curve import (

@@ -18,8 +18,6 @@ from dataclasses import asdict, fields
 from types import GeneratorType
 from typing import BinaryIO, Iterator
 
-import numpy as np
-
 from . import curve, semigroup
 from .errors import (
     SkabelundError,
@@ -38,7 +36,7 @@ TABLE1 = {
 _POINTS = ("rational", "quartic", "generic")
 _EMITS = ("generators", "apery", "gaps", "stats")
 _BLOCK = 16384  # series items rendered per piece
-_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # the least values of 2..19 digits
+_POWERS = tuple(10**w for w in range(1, 19))  # the least values of 2..19 digits
 _TABLE1_COLUMNS = ("s", "F1", "F2", "F3", "F4", "F5", "F6", "F", "g")
 _NO_WITNESS_CSV = "--witnesses payloads have no CSV form"
 
@@ -92,7 +90,8 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     elif emit == "gaps":
         payload["gaps"] = profile  # streamed from its Kunz coordinates, see _pieces
     elif emit == "apery":
-        payload["apery"] = np.sort(profile.apery_array())
+        payload["apery"] = apery = profile.apery_array()
+        apery.sort()
     else:
         payload[emit] = list(gens) if emit == "generators" else asdict(stats)
     return payload, 0
@@ -201,7 +200,9 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[bytes]:
     if witnesses and fmt == "csv":
         raise UnsupportedCombination(_NO_WITNESS_CSV)
     count = 0
-    if kind == "semigroup" and isinstance(series, (list, np.ndarray)):
+    if kind == "semigroup" and key in ("generators", "apery"):
+        import numpy as np
+
         series = np.asarray(series, dtype=np.int64)
         count, arrays = len(series), (series[i:i + _BLOCK] for i in range(0, len(series), _BLOCK))
     elif isinstance(series, semigroup.SemigroupProfile):
@@ -244,10 +245,12 @@ def _decimal(v: np.ndarray, sep: str) -> bytes:
     lowest word first and one x // 10000 before each next; the last w bytes
     of its words and then sep fill its record in the block's one buffer.
     """
+    import numpy as np
+
     if v.size and (v[0] < 0 or (v[1:] < v[:-1]).any()):
         raise ValueError("a series must be nondecreasing and nonnegative")
     table, tail = _words(), sep.encode("ascii")
-    cuts = [0, *np.searchsorted(v, _POWERS).tolist(), v.size]
+    cuts = [0, *v.searchsorted(_POWERS).tolist(), v.size]
     runs = [(w, lo, hi) for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1) if lo < hi]
     buf, at = np.empty(sum((hi - lo) * (w + len(tail)) for w, lo, hi in runs), dtype=np.uint8), 0
     for w, lo, hi in runs:
@@ -269,6 +272,8 @@ def _decimal(v: np.ndarray, sep: str) -> bytes:
 def _words() -> np.ndarray:
     """The 10**4 ASCII words "0000".."9999", one uint32 each: word i holds
     the four digits of i.  Built on the first series a process writes."""
+    import numpy as np
+
     words = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     for place in range(4):  # digit `place` of i varies along axis `place`
         words[..., place] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - place))
@@ -311,6 +316,8 @@ def _records(x: np.ndarray, literals: list[str], sep: str) -> bytes:
     column's widest value; w passes of x // 10 write a w-digit field, last
     digit first, and the places above a value's own digits keep the pad byte
     0, dropped at the end."""
+    import numpy as np
+
     if x.size and x.min() < 0:
         raise ValueError("record fields must be nonnegative")
     widths = np.searchsorted(_POWERS, x.max(axis=1, initial=0), side="right") + 1

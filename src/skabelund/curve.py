@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from .errors import DuplicateResidue, OutOfDomain, SumMismatch, UnsupportedS
 from .semigroup import GeneratorSet, SemigroupProfile, SemigroupStats
@@ -169,26 +168,24 @@ def pole_order_table(p: CurveParams) -> PoleOrderTable:
 
 
 # ---------------------------------------------------------------------------
-# Apery-set cell tables.  A table is one (6, n) int64 array holding, for each
-# of n cells, (e, d, w, a, b, L) with b > 0 and L > 0; row l < L of a cell is
-# the Apery element e + d*l + w*max(a - b*l, 0).  The stats sum each cell in
-# closed form; only the sets and phi_values expand the table, block by block.
+# Apery-set cell tables.  A table yields, for each of its cells, a tuple
+# (e, d, w, a, b, L) of Python ints with b > 0 and L > 0; row l < L of a cell
+# is the Apery element e + d*l + w*max(a - b*l, 0).  The stats sum each cell
+# in closed form; only the sets and phi_values expand the table, block by
+# block, and only that expansion builds arrays.
 
 _BLOCK = 1 << 16  # elements per expanded block; small blocks keep temporaries in cache
 
 
-def _rational_cells(p: CurveParams) -> np.ndarray:
+def _rational_cells(p: CurveParams) -> Iterator[tuple[int, ...]]:
     """The rational box: cell (h, i, k) holds h*g1 + i*g2 + k*g4 + j*g3 in row j."""
-    q0, q = p.q0, p.q
     _, g1, g2, g3, g4 = rational_generators(p).gens
-    table = np.empty((6, q), dtype=np.int64)
-    table[0] = (np.array([0, g1])[:, None, None] + np.arange(q0)[:, None] * g2
-                + np.arange(q0) * g4).ravel()
-    table[1:] = [[g3], [0], [0], [1], [q - 2 * q0 + 1]]
-    return table
+    box = range(p.q0)
+    return ((e + i * g2 + k * g4, g3, 0, 0, 1, p.q - 2 * p.q0 + 1)
+            for e in (0, g1) for i in box for k in box)
 
 
-def _quartic_cells(p: CurveParams) -> np.ndarray:
+def _quartic_cells(p: CurveParams) -> Iterator[tuple[int, ...]]:
     """The quartic Apery elements phi(i)*g0 + i, in 2 x q cells.
 
     The lower range 0 <= i <= q(q-2)/2 is rows l of i = l*q + cell with
@@ -200,62 +197,61 @@ def _quartic_cells(p: CurveParams) -> np.ndarray:
     """
     q0, q = p.q0, p.q
     g0 = quartic_multiplicity(p)
-    cell = np.arange(q, dtype=np.int64)
-    j = cell & (q0 - 1)
-    k = cell >> p.s
-    table = np.empty((6, 2, q), dtype=np.int64)
-    e, d, w, a, b, rows = table
-    e[:] = g0 + cell, q * g0 - 1 - cell  # c*g0 + i at l = 0; c = 1, q - 1
-    d[:] = [[g0 + q], [-g0 - q]]
-    w[:] = [[g0], [-g0]]
-    a[:] = q - q0 * ((k + 1) // 2 + j + 1)
-    b[:] = q0
-    rows[:] = q // 2
-    rows[0, 1:] -= 1
-    lower_edge = (j == 0) & (k != 0)
-    a[0, lower_edge] = q - q0 * (k[lower_edge] + 2)
-    b[0, lower_edge] = 2 * q0
-    a[0, 0] = e[0, 0] = 0  # j = k = 0: phi = l
-    upper_edge = j == q0 - 1
-    a[1, upper_edge] = q - q0 * (k[upper_edge] + 1)
-    b[1, upper_edge] = 2 * q0
-    return table.reshape(6, 2 * q)
+    for upper in (False, True):
+        for cell in range(q):
+            j, k = cell % q0, cell // q0
+            a, b = q - q0 * ((k + 1) // 2 + j + 1), q0
+            if upper:
+                if j == q0 - 1:
+                    a, b = q - q0 * (k + 1), 2 * q0
+                yield q * g0 - 1 - cell, -g0 - q, -g0, a, b, q // 2
+            elif cell == 0:  # j = k = 0: phi = l
+                yield 0, g0 + q, g0, 0, b, q // 2
+            else:
+                if j == 0:
+                    a, b = q - q0 * (k + 2), 2 * q0
+                yield g0 + cell, g0 + q, g0, a, b, q // 2 - 1
 
 
-def _element(cells: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Row l of every cell, e + d*l + w*max(a - b*l, 0), evaluated in one buffer."""
-    e, d, w, a, b, _ = cells
-    x = b * -l
-    x += a
-    np.maximum(x, 0, out=x)
-    x *= w
-    x += d * l
-    x += e
-    return x
+def _expand(cells: Iterable[tuple[int, ...]]):
+    """The elements of a cell table, whole rows of about _BLOCK elements at a
+    time: row l of every cell, e + d*l + w*max(a - b*l, 0), in one buffer."""
+    import numpy as np
 
-
-def _expand(cells: np.ndarray):
-    """The elements of a cell table, whole rows of about _BLOCK elements at a time."""
-    rows = cells[5]
+    e, d, w, a, b, rows = np.array([*zip(*cells)], dtype=np.int64)
     depth = int(rows.max())
     step = max(1, _BLOCK // rows.size)
     for l0 in range(0, depth, step):
         l = np.arange(l0, min(l0 + step, depth), dtype=np.int64)[:, None]
-        yield _element(cells, l)[l < rows]
+        x = b * -l
+        x += a
+        np.maximum(x, 0, out=x)
+        x *= w
+        x += d * l
+        x += e
+        yield x[l < rows]
 
 
-def _cell_sums(cells: np.ndarray) -> tuple[int, int, int]:
+def _cell_sums(cells: Iterable[tuple[int, ...]]) -> tuple[int, int, int]:
     """(count, exact sum, largest element) of a cell table in O(cells).
 
     In a cell, the t rows with a - b*l > 0 add w*(t*a - b*t(t-1)/2) on top
-    of the arithmetic progression e + d*l, and the piecewise-linear element
-    peaks at row 0, t - 1, t or L - 1.
+    of the arithmetic progression e + d*l.  The element is linear on rows
+    [0, t), with slope d - w*b, and on [t, L), with slope d, so it peaks at
+    an end of one of the two, picked by the slope's sign.  The top starts
+    at 0, which every Apery set holds.
     """
-    e, d, w, a, b, rows = cells
-    t = np.clip(-(-a // b), 0, rows)
-    sums = rows * e + d * (rows * (rows - 1) // 2) + w * (t * a - b * (t * (t - 1) // 2))
-    top = max(int(_element(cells, np.clip(l, 0, rows - 1)).max()) for l in (0, rows - 1, t - 1, t))
-    return int(rows.sum()), sum(sums.tolist()), top  # the sum passes 2^63 at s = 6
+    count = total = top = 0
+    for e, d, w, a, b, rows in cells:
+        t = min(-(-a // b), rows) if a > 0 else 0
+        count += rows
+        total += rows * e + d * (rows * (rows - 1) // 2) + w * (t * a - b * (t * (t - 1) // 2))
+        if t:
+            slope = d - w * b
+            top = max(top, e + w * a + (slope * (t - 1) if slope > 0 else 0))
+        if t < rows:
+            top = max(top, e + d * (rows - 1 if d > 0 else t))
+    return count, total, top
 
 
 def special_profile(p: CurveParams, point: str) -> SemigroupProfile:
@@ -268,6 +264,8 @@ def special_profile(p: CurveParams, point: str) -> SemigroupProfile:
     the elements must pass the checks of ``_stats``; either failure means a
     transcription bug.
     """
+    import numpy as np
+
     m, cells = {"rational": (rational_generators(p).gens[0], _rational_cells),
                 "quartic": (quartic_multiplicity(p), _quartic_cells)}[point]
     k, seen = np.empty(m, dtype=np.int64), np.zeros(m, dtype=bool)
@@ -289,6 +287,8 @@ def special_profile(p: CurveParams, point: str) -> SemigroupProfile:
 def _first_repeat(m: int, blocks) -> None:
     """Raise :class:`DuplicateResidue` at the first element, in block order,
     whose residue modulo m an earlier element holds."""
+    import numpy as np
+
     seen = np.zeros(m, dtype=bool)
     for block in blocks:
         residues = block % m

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import EmptyInput, NonCoprime, NotClosed, Overflow
 
 U64_MAX = 2**64 - 1
@@ -73,6 +71,8 @@ class SemigroupProfile:
     frobenius: int = field(init=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         k = np.asarray(self.k)
         if not k.size:
             raise EmptyInput("Kunz vector is empty")
@@ -84,10 +84,14 @@ class SemigroupProfile:
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         return isinstance(other, SemigroupProfile) and np.array_equal(self.k, other.k)
 
     def apery_array(self) -> np.ndarray:
         """The Apery set in residue order, r + m*k[r], in the dtype of k."""
+        import numpy as np
+
         apery = self.k * self.multiplicity
         apery += np.arange(self.multiplicity)
         return apery
@@ -101,6 +105,8 @@ class SemigroupProfile:
     def from_apery(cls, apery: Iterable[int]) -> "SemigroupProfile":
         """The profile of an Apery array in normal form, entry 0 zero and entry r
         congruent to r mod m; raises :class:`NotClosed` naming the first residue off it."""
+        import numpy as np
+
         ap = list(apery)
         if not ap:
             raise EmptyInput("Apery set is empty")
@@ -118,6 +124,8 @@ class SemigroupProfile:
         """The gaps in increasing order, as int64 arrays of at most ``size``
         values, never all at once.  Row j holds r + j*m for the residues r,
         in order, with k[r] > j: those of row j - 1 that remain."""
+        import numpy as np
+
         m = self.multiplicity
         alive = np.arange(m)
         for j in range(int(self.k.max())):
@@ -186,6 +194,8 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     end.  Raises :class:`Overflow` when an Apery element exceeds 64 bits
     unsigned.
     """
+    import numpy as np
+
     gens, m = gen_set.gens, gen_set.gens[0]
     k = np.full(m, gens[-1], dtype=_narrow(2 * gens[-1] + 1))
     k[0] = 0
@@ -205,6 +215,8 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
 def _narrow(top: int) -> type:
     """The narrowest of int16, int32 and int64 that holds every value in
     [0, top], else object (Python ints)."""
+    import numpy as np
+
     for dtype in (np.int16, np.int32, np.int64):
         if top <= np.iinfo(dtype).max:
             return dtype
@@ -215,6 +227,8 @@ def _relax(best: np.ndarray, k: np.ndarray, w: int, scratch: np.ndarray) -> None
     """best[r] = min(best[r], k[(r - w) mod m] + w div m + [r < w mod m]) for
     every residue r: the edges of weight w, in Kunz coordinates.  Two slice
     adds into ``scratch``, the carry on the wrapped one, and one minimum."""
+    import numpy as np
+
     m = len(k)
     q, t = divmod(w, m)
     np.add(k[:m - t], q, out=scratch[t:])
@@ -224,7 +238,7 @@ def _relax(best: np.ndarray, k: np.ndarray, w: int, scratch: np.ndarray) -> None
 
 def _largest(k: np.ndarray) -> int:
     """max(r + m*k[r]) as a Python int, from the last residue holding max(k)."""
-    r = len(k) - 1 - int(np.argmax(k[::-1] == k.max()))  # no reversed copy of k
+    r = len(k) - 1 - int((k[::-1] == k.max()).argmax())  # no reversed copy of k
     return r + len(k) * int(k[r])
 
 
@@ -235,6 +249,8 @@ def contains(p: SemigroupProfile, n: int) -> bool:
 
 def gaps_of(p: SemigroupProfile) -> GapSet:
     """All gaps of the semigroup, from its Kunz coordinates."""
+    import numpy as np
+
     gaps = np.concatenate([np.empty(0, dtype=np.int64), *p.blocks(p.multiplicity)])
     return GapSet(tuple(gaps.tolist()), p.conductor)
 
@@ -297,6 +313,8 @@ def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     broken: it raises :class:`RuntimeError` there, not after O(m) more
     passes.
     """
+    import numpy as np
+
     m, k = p.multiplicity, p.k
     if m > 1 and k[1:].min() <= 0:
         r = 1 + int(np.argmin(k[1:]))

@@ -14,6 +14,9 @@ their residues one by one, where ``families.kunz_counts`` counts whole
 progression rows per residue.  The phi formula
 restates the paper's piecewise offset map over whole index arrays, with
 none of the per-cell tables that ``skabelund.curve`` streams its Apery sets from.
+The cell-sum oracle sums those tables as one numpy array, taking each
+cell's peak as the largest of four candidate rows, where ``curve._cell_sums``
+walks the cells in Python ints and picks at most two.
 """
 
 from __future__ import annotations
@@ -213,3 +216,19 @@ def phi_formula(p, idx: np.ndarray) -> np.ndarray:
     phi1 = np.where(j == 0, phi1, l + 1 + inner)
     phi2 = q - l - 1 - np.where(j == q0 - 1, np.maximum(q - q0 * (k + 2 * l + 1), 0), inner)
     return np.where(upper, phi2, phi1)
+
+
+def cell_sums_oracle(cells) -> tuple[int, int, int]:
+    """(count, exact sum, largest element) of a ``skabelund.curve`` cell
+    table, as one (6, n) int64 array: in a cell, the t rows with
+    a - b*l > 0 add w*(t*a - b*t(t-1)/2) on top of the arithmetic
+    progression e + d*l, and the piecewise-linear element peaks at row 0,
+    t - 1, t or L - 1."""
+    e, d, w, a, b, rows = np.array([*zip(*cells)], dtype=np.int64)
+    t = np.clip(-(-a // b), 0, rows)
+    sums = rows * e + d * (rows * (rows - 1) // 2) + w * (t * a - b * (t * (t - 1) // 2))
+    tops = []
+    for l in (0, rows - 1, t - 1, t):
+        l = np.clip(l, 0, rows - 1)
+        tops.append(int((e + d * l + w * np.maximum(a - b * l, 0)).max()))
+    return int(rows.sum()), sum(sums.tolist()), max(tops)  # the sum passes 2^63 at s = 6

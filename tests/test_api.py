@@ -31,18 +31,27 @@ def test_generic_names_listed_before_first_use():
 
 def test_special_class_runs_never_import_families():
     # the special classes and the engine stand alone; the generic names
-    # load skabelund.families on first use
+    # load skabelund.families on first use.  numpy loads on the first array:
+    # the package, params and the special-class stats run without it
     child = """
 import sys
-from skabelund.cli import main
-assert main(["semigroup", "--s", "1", "--point", "quartic", "--emit", "stats"]) == 0
 import skabelund as sk
+assert "numpy" not in sys.modules
+from skabelund.cli import main
+assert "numpy" not in sys.modules
+assert main(["params", "--s", "6"]) == 0 and "numpy" not in sys.modules
+for s in ("1", "6"):
+    for point in ("rational", "quartic"):
+        for fmt in ("text", "json", "csv"):
+            argv = ["semigroup", "--s", s, "--point", point, "--emit", "stats", "--format", fmt]
+            assert main(argv) == 0 and "numpy" not in sys.modules, argv
 p = sk.make_params(2)
 assert frozenset(sk.profile_from_generators(sk.quartic_generators(p)).apery) == sk.quartic_apery(p)
+assert "numpy" in sys.modules
 assert "skabelund.families" not in sys.modules
 assert sk.FamilyId.F1.value == 1 and "skabelund.families" in sys.modules
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("s = 1\n")
+    assert result.stdout.startswith("    s = 6\n   q0 = 64\n")

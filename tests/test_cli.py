@@ -650,6 +650,15 @@ def test_witness_dump_s3_peak_rss():
     assert _child_peak_kb(argv) < 120 * 1024
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_special_stats_s6_peak_rss():
+    # quartic stats at s = 6 sum 16,384 cells in Python ints and never import
+    # numpy: 16.4 MiB resident on a 2-core machine, 31.6 MiB with numpy.
+    # The bound is that peak plus 22%.
+    argv = ["semigroup", "--s", "6", "--point", "quartic", "--emit", "stats"]
+    assert _child_peak_kb(argv) < 20 * 1024
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
 @pytest.mark.parametrize("point", ["generic", "quartic"])
