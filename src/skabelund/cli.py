@@ -448,10 +448,10 @@ def main(argv: list[str] | None = None) -> int:
         failed = report is not None and _emit("table1", report, args.format, args.out)
         print(f"error: {exc}", file=sys.stderr)
         return failed or 1
-    except (UnsupportedS, UnsupportedCombination, ValueError) as exc:
+    except (UnsupportedS, UnsupportedCombination) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SkabelundError, RuntimeError, MemoryError) as exc:
+    except (SkabelundError, RuntimeError, ValueError, MemoryError) as exc:
         print(f"internal error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -46,7 +46,7 @@ class NotClosed(SkabelundError):
 
 
 class NoWitness(SkabelundError):
-    """A gap's family seed is no witness vector (internal bug)."""
+    """A gap's witness, its exponents times its family's block monomial, fails (internal bug)."""
 
 
 class UnsupportedCombination(SkabelundError):

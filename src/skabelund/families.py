@@ -286,50 +286,47 @@ def _add_rows(lo: np.ndarray, length: np.ndarray, step: int,
     Up a row the residue moves by t = step mod m, around one of the
     d = gcd(t, m) cycles of Z/m under +t, each n = m/d long; residue r sits
     at place (r div d)*(t/d)^-1 mod n of cycle r mod d, and place j of
-    cycle c holds residue c + d*(j*(t/d) mod n).  Laid out twice in a row
-    per cycle, the cycles turn a row of at most n values into one run of
-    places u < 2n, along which its value is base + u*step.  Difference
-    arrays of the counts (int32) and the bases, filled ``_CHUNK`` rows at a
-    time and summed in place, give both sums per place.  Lap 2 is then
-    folded onto lap 1 in place: its values lie n steps above lap 1's, so
-    it adds its count times n*step once, and the folded count times j*step
-    adds the rest.  ``k`` and ``total`` gather the folded lap in residue
-    order, ``_CHUNK`` residues at a time.  Every product with ``step`` is
-    taken in int64: an int32 count times a Python int past 2^31 overflows.
+    cycle c holds residue c + d*(j*(t/d) mod n).  With the cycles laid out
+    end to end, a row from place u is the run of places u, u + 1, ..., its
+    value base + j*step at place j, and RuntimeError names a row that runs
+    past the end of its cycle.  Difference arrays of the counts (int32) and
+    the bases (int64), filled ``_CHUNK`` rows at a time and summed in place,
+    give both sums per place; ``k`` and ``total`` gather them in residue
+    order, ``_CHUNK`` residues at a time, adding count times j*step.  Every
+    product with ``step`` is taken in int64: an int32 count times a Python
+    int past 2^31 overflows.
     """
     m = len(k)
     t, d = step % m, math.gcd(step, m)
     n = m // d
-    if (length > n).any():
-        raise RuntimeError(f"a row of {int(length.max())} values wraps its residue cycle of {n}")
     turn = pow(t // d, -1, n)
-    count, value = np.zeros(2 * m, dtype=np.int32), np.zeros(2 * m, dtype=np.int64)
+    count, value = np.zeros(m + 1, dtype=np.int32), np.zeros(m + 1, dtype=np.int64)
     for i in range(0, len(lo), _CHUNK):
-        row = lo[i:i + _CHUNK]
+        row, size = lo[i:i + _CHUNK], length[i:i + _CHUNK]
         r = row % m
         place = r // d * turn % n
-        at = r % d * (2 * n) + place  # a row's end mark lands by place 2n - 1 of its cycle
+        past = place + size > n
+        if past.any():
+            j = int(np.argmax(past))
+            raise RuntimeError(f"the row of {size[j]} values from {row[j]} runs past the end "
+                               f"of its residue cycle of {n}")
+        at = r % d * n + place
         base = row - place * step
         np.add.at(count, at, np.int32(1))
         np.add.at(value, at, base)
-        at += length[i:i + _CHUNK]
+        at += size
         np.subtract.at(count, at, np.int32(1))
         np.subtract.at(value, at, base)
     np.cumsum(count, dtype=np.int32, out=count)
     np.cumsum(value, out=value)
-    count, value = count.reshape(d, 2, n), value.reshape(d, 2, n)
-    value[:, 0] += value[:, 1]
-    np.multiply(count[:, 1], np.int64(n * step), out=value[:, 1])
-    value[:, 0] += value[:, 1]
-    count[:, 0] += count[:, 1]
-    np.multiply(count[:, 0], np.arange(n, dtype=np.int64) * step, out=value[:, 1])
-    value[:, 0] += value[:, 1]
+    count, value = count[:m].reshape(d, n), value[:m].reshape(d, n)
     place = np.arange(n) * turn % n  # in cycle c, of residue c + d*u for u = 0, 1, ...
     k, total, per = k.reshape(n, d), total.reshape(n, d), max(1, _CHUNK // d)
     for u in range(0, n, per):
         j = place[u:u + per]
-        k[u:u + per] += count[:, 0, j].T
-        total[u:u + per] += value[:, 0, j].T
+        c = count[:, j].T
+        k[u:u + per] += c
+        total[u:u + per] += value[:, j].T + c * (j * step)[:, None]
 
 
 def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
@@ -338,11 +335,10 @@ def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
     values are congruent to r modulo the generic multiplicity m = q^2 - 2q0.
 
     Each family's rows are cut down to their two ends as soon as they are
-    built, and each lattice is counted from its ends and then let go, so no
-    row columns, and no copy of F1's ends (about m rows), stay alive beside
-    the count; at the peak, in :func:`_add_rows` on F1, that leaves F1's
-    low ends and lengths, k and the value sums, and the two laps of int32
-    count and int64 value differences: about seven m-long int64 arrays.
+    built, so no row columns, and no copy of F1's ends (about m rows), stay
+    alive beside the count.  From s = 4 on, the peak is in :func:`_distinct`
+    on F1: F1's two ends and the digit sums of its high ends, about seven
+    m-long int64 arrays; :func:`_add_rows` on F1 stays below it.
 
     Raises RuntimeError naming the first value outside [1, 2g) of the first
     family with a row end outside.  Where :func:`_distinct` cannot tell the
@@ -351,7 +347,8 @@ def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
     of residue r are r, r + m, ..., r + (k - 1)m iff they sum to
     k*r + m*k(k - 1)/2; NotClosed names the first residue whose sum
     (:func:`_add_rows`) is another.  RuntimeError follows unless sum(k) is
-    the genus.
+    the genus, and the profile raises NotClosed unless k[0] = 0 and every
+    other k[r] >= 1.
     """
     limit, m = 2 * p.genus, p.q * p.q - 2 * p.q0
     counts, ends = {}, {}
@@ -376,22 +373,17 @@ def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
         if repeat.any():
             raise DuplicateGap(f"value {every[np.argmax(repeat)]} produced twice")
     k, total = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    while lattices:  # each lattice's ends are let go once it is counted
-        step, lo, hi = lattices.pop(0)
-        length = hi - lo
-        del hi
-        length //= step
-        length += 1
-        _add_rows(lo, length, step, k, total)
+    for step, lo, hi in lattices:
+        _add_rows(lo, (hi - lo) // step + 1, step, k, total)
     expected = k * np.arange(m) + m * (k * (k - 1) // 2)
     if (total != expected).any():
         r = int(np.argmax(total != expected))
         raise NotClosed(f"residue {r} holds {k[r]} gaps summing to {total[r]}, not "
                         f"{expected[r]}: a gap lies above a member of its residue")
-    profile = SemigroupProfile(k)
-    if profile.genus != p.genus:
-        raise RuntimeError(f"complement profile has genus {profile.genus}, expected {p.genus}")
-    return profile, counts
+    genus = int(k.sum())
+    if genus != p.genus:
+        raise RuntimeError(f"complement profile has genus {genus}, expected {p.genus}")
+    return SemigroupProfile(k), counts
 
 
 def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
@@ -450,9 +442,9 @@ def generic_semigroup(p: CurveParams) -> GenericSemigroup:
     """The semigroup at a generic point: complement C of the six families,
     whose Kunz coordinates k (:func:`kunz_counts`, of sum g) show that each
     residue's gaps are exactly those below D[r] = r + m*k[r].  C is closed
-    under addition, with multiplicity m, iff its minimal generators reach
-    every D[r] by a tight edge and each D[r], r > 0, lies above m
-    (:func:`minimal_generators`, which raises NotClosed otherwise)."""
+    under addition, with multiplicity m, iff each D[r], r > 0, lies above m
+    (:class:`SemigroupProfile`) and its minimal generators reach every D[r]
+    by a tight edge (:func:`minimal_generators`); NotClosed otherwise."""
     if p.s > 4:
         raise UnsupportedS("generic-point semigroups are supported for s <= 4")
     profile, counts = kunz_counts(p)

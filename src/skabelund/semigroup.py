@@ -62,7 +62,9 @@ class SemigroupProfile:
     """A numerical semigroup in Kunz coordinates: residue r modulo m = len(k)
     holds the k[r] gaps r + j*m, j < k[r], below its Apery element r + m*k[r].
     ``k`` is a read-only view, int64 when every Apery element fits and of
-    Python ints otherwise; the summary numbers are Python ints."""
+    Python ints otherwise; the summary numbers are Python ints.  NotClosed
+    names the first residue that breaks k[0] = 0 or, for r > 0, k[r] >= 1
+    (an Apery element not above m)."""
 
     k: np.ndarray
     multiplicity: int = field(init=False)
@@ -77,6 +79,11 @@ class SemigroupProfile:
         if not k.size:
             raise EmptyInput("Kunz vector is empty")
         m, top = len(k), _largest(k)
+        if k[0] != 0:
+            raise NotClosed(f"residue 0 holds {m * int(k[0])}: not in Apery normal form for m = {m}")
+        if m > 1 and k[1:].min() <= 0:
+            r = 1 + int(np.argmax(k[1:] <= 0))
+            raise NotClosed(f"residue {r} holds {r + m * int(k[r])}, not above m = {m}")
         k = k.astype(np.int64 if top < 2**63 else object, copy=False).view()
         k.flags.writeable = False
         for name, value in (("k", k), ("multiplicity", m), ("genus", int(k.sum())),
@@ -103,8 +110,8 @@ class SemigroupProfile:
 
     @classmethod
     def from_apery(cls, apery: Iterable[int]) -> "SemigroupProfile":
-        """The profile of an Apery array in normal form, entry 0 zero and entry r
-        congruent to r mod m; raises :class:`NotClosed` naming the first residue off it."""
+        """The profile of an Apery array in normal form, entry r congruent to r
+        mod m (entry 0 zero, checked by the profile); NotClosed names the first residue off it."""
         import numpy as np
 
         ap = list(apery)
@@ -114,7 +121,6 @@ class SemigroupProfile:
         fits = -(2**63) <= min(ap) and max(ap) < 2**63
         k = np.array(ap, dtype=np.int64 if fits else object)
         bad = k % m != np.arange(m)
-        bad[0] = ap[0] != 0
         if bad.any():
             r = int(np.argmax(bad))
             raise NotClosed(f"residue {r} holds {ap[r]}: not in Apery normal form for m = {m}")
@@ -301,12 +307,12 @@ def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     earlier window has applied it.
 
     The walk ends with best == k, taking best[0] = 0, exactly when D is the
-    Apery set of a semigroup: D[0] = 0, no edge improves D, and every
-    other residue has a tight in-edge, D[r] = D[r - g] + g, whose chain
-    strictly falls to residue 0.  Otherwise it raises :class:`NotClosed`,
-    naming the first residue where the two differ, or a residue whose entry
-    is not above m.  Values formed stay within 2 * max(k) + 1, so the sweep
-    runs on a :func:`_narrow` copy of k.
+    Apery set of a semigroup: no edge improves D, and every other residue
+    has a tight in-edge, D[r] = D[r - g] + g, whose chain strictly falls to
+    residue 0 (the profile holds D[0] = 0).  Otherwise it raises
+    :class:`NotClosed`, naming the first residue where the two differ.
+    Values formed stay within 2 * max(k) + 1, so the sweep runs on a
+    :func:`_narrow` copy of k.
 
     With D[0] = 0, a new generator's own edge from residue 0 makes its
     residue tight at once.  A residue left untight means the kernel is
@@ -316,12 +322,6 @@ def minimal_generators(p: SemigroupProfile) -> tuple[int, ...]:
     import numpy as np
 
     m, k = p.multiplicity, p.k
-    if m > 1 and k[1:].min() <= 0:
-        r = 1 + int(np.argmin(k[1:]))
-        raise NotClosed(f"residue {r} holds {r + m * int(k[r])}, not above m = {m}")
-    if k[0] != 0:
-        raise NotClosed(f"generators reach 0 at residue 0, where the Apery set has "
-                        f"{m * int(k[0])}: not closed under addition")
     k = k.astype(_narrow(2 * int(k.max()) + 1), copy=False)
     best, scratch = k + 1, np.empty_like(k)
     order = np.argsort(k[1:], kind="stable") + 1

@@ -317,6 +317,53 @@ def test_row_range_error_exits_three(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: gap value 392 outside [1, 392)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("semigroup", "--s", "1", "--point", "generic", "--emit", "gaps"),
+    ("semigroup", "--s", "1", "--point", "generic", "--emit", "stats"),
+    ("table1", "--max-s", "1"),
+], ids=["gaps", "stats", "table1"])
+def test_empty_residue_exits_three(argv, capsys, monkeypatch):
+    # F2's one-value row {52} goes and 181 = 1 + 3*60 joins F1: the genus,
+    # every residue's value sum and the families' distinctness still hold,
+    # but residue 52 holds no gap, so the complement holds 52 < m = 60
+    import dataclasses
+
+    import skabelund.families as fam
+
+    real = fam._family_rows
+
+    def emptied(p, fid, params=False):
+        rows = real(p, fid, params)
+        if fid is FamilyId.F1:
+            return dataclasses.replace(rows, length=np.append(rows.length, 1),
+                                       value=np.append(rows.value, 181))
+        if fid is FamilyId.F2:
+            keep = (rows.value != 52) | (rows.length != 1)
+            return dataclasses.replace(rows, length=rows.length[keep], value=rows.value[keep])
+        return rows
+
+    monkeypatch.setattr(fam, "_family_rows", emptied)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "internal error: NotClosed: residue 52 holds 52, not above m = 60\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_internal_value_error_exits_three(to_file, capsys, monkeypatch, tmp_path):
+    # a decreasing gap series trips _decimal's guard: an internal fault,
+    # not a usage error, and no file at PATH
+    def decreasing(self, size):
+        yield np.array([5, 3], dtype=np.int64)
+
+    monkeypatch.setattr(SemigroupProfile, "blocks", decreasing)
+    target = tmp_path / "gaps.txt"
+    argv = ["semigroup", "--s", "1", "--point", "rational", "--emit", "gaps"]
+    code, _, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert code == 3
+    assert err == "internal error: ValueError: a series must be nondecreasing and nonnegative\n"
+    assert not target.exists()
+
+
 def test_verify_builds_each_closed_form_once(monkeypatch):
     # the quartic profile feeds both its agreement check and phi
     import skabelund.curve as curve

@@ -248,9 +248,22 @@ def test_minimal_generators_reject_unclosed_apery_set():
     # closed, but <2, 3> has multiplicity 2: not its Apery set for m = 3
     with pytest.raises(NotClosed, match="residue 2"):
         minimal_generators(SemigroupProfile.from_apery((0, 4, 2)))
-    # k[0] = 1: residue 0 is named before any generator's residue is tested for tightness
-    with pytest.raises(NotClosed, match="^generators reach 0 at residue 0, where the Apery set has 3: "):
-        minimal_generators(SemigroupProfile(np.array([1, 1, 1])))
+
+
+def test_profile_checks_kunz_invariant():
+    # k[0] = 0 and k[r] >= 1 for r > 0 hold for every profile, whoever builds
+    # it: an entry at or below m would make a smaller multiplicity, and a
+    # negative one a negative genus and conductor
+    with pytest.raises(NotClosed, match="^residue 1 holds -1, not above m = 2$"):
+        SemigroupProfile.from_apery((0, -1))
+    with pytest.raises(NotClosed, match="^residue 1 holds 1, not above m = 2$"):
+        SemigroupProfile.from_apery((0, 1))
+    with pytest.raises(NotClosed, match="^residue 0 holds 3: not in Apery normal form for m = 3$"):
+        SemigroupProfile(np.array([1, 1, 1]))
+    # the first residue off it is named, not the least entry, past int64 too
+    with pytest.raises(NotClosed, match="^residue 2 holds 2, not above m = 4$"):
+        SemigroupProfile(np.array([0, 2**70, 0, -1], dtype=object))
+    assert SemigroupProfile(np.array([0])).genus == 0
 
 
 def test_from_apery_rejects_non_normal_form():
