@@ -62,7 +62,7 @@ class PoleOrderTable:
 
 def make_params(s: int) -> CurveParams:
     """Build CurveParams for exponent s; genus is q*(q-1)^2/2."""
-    if not isinstance(s, int) or not 1 <= s <= S_MAX:
+    if not isinstance(s, int) or isinstance(s, bool) or not 1 <= s <= S_MAX:
         raise UnsupportedS(f"s must be an integer in 1..{S_MAX}, got {s!r}")
     q0 = 2**s
     q = 2 * q0 * q0

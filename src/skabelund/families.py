@@ -259,11 +259,11 @@ def _distinct(p: CurveParams, step: int, lo: np.ndarray, hi: np.ndarray) -> bool
     intervals are disjoint iff, with the low ends and the high ends each
     sorted on its own, every high end lies below the next low end.
     """
-    if step == p.q * p.q:
-        if (_digit_sum(p, hi - 1) > p.q - 2).any():
+    f1 = step == p.q * p.q
+    ends = hi if f1 else lo
+    for i in range(0, len(ends), _CHUNK):  # no m-long digit-sum temporaries
+        if ((_digit_sum(p, ends[i:i + _CHUNK] - 1) > p.q - 2) == f1).any():
             return False
-    elif (_digit_sum(p, lo - 1) < p.q - 1).any():
-        return False
     w = int(hi.max(initial=0)) // step + 1
     line = []
     for x in (lo, hi):
@@ -336,9 +336,9 @@ def kunz_counts(p: CurveParams) -> tuple[SemigroupProfile, dict[FamilyId, int]]:
 
     Each family's rows are cut down to their two ends as soon as they are
     built, so no row columns, and no copy of F1's ends (about m rows), stay
-    alive beside the count.  From s = 4 on, the peak is in :func:`_distinct`
-    on F1: F1's two ends and the digit sums of its high ends, about seven
-    m-long int64 arrays; :func:`_add_rows` on F1 stays below it.
+    alive beside the count.  From s = 4 on, the peak is in :func:`_add_rows`
+    on F1, beside every lattice's ends, ``k`` and ``total``; :func:`_distinct`
+    takes its digit sums ``_CHUNK`` ends at a time.
 
     Raises RuntimeError naming the first value outside [1, 2g) of the first
     family with a row end outside.  Where :func:`_distinct` cannot tell the

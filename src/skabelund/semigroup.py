@@ -15,10 +15,11 @@ bounds how often one generator can lie on a shortest path.  The minimal
 generators of a profile, and whether it is closed under addition, come
 from the reduced-cost optimality conditions of shortest paths (Ahuja,
 Magnanti & Orlin, "Network Flows", 1993, ch. 5): each generator's edges
-are tested against k itself by the same shifted add and min.  Both
-kernels run in the narrowest of int16, int32 and int64 that holds every
-k they form (:func:`_narrow`); a profile holds k as int64, or as Python
-ints past that.  The rest follows by direct arithmetic:
+are tested against k itself by the same shifted add and min, the one
+closure check here, gap sets included.  Both kernels run in the narrowest
+of int16, int32 and int64 that holds every k they form (:func:`_narrow`);
+a profile holds k as int64, or as Python ints past that.  The rest
+follows by direct arithmetic:
 
     n in S          iff  n div m >= k[n mod m]
     gaps            =    r + j*m for every r and j < k[r]
@@ -62,9 +63,10 @@ class SemigroupProfile:
     """A numerical semigroup in Kunz coordinates: residue r modulo m = len(k)
     holds the k[r] gaps r + j*m, j < k[r], below its Apery element r + m*k[r].
     ``k`` is a read-only view, int64 when every Apery element fits and of
-    Python ints otherwise; the summary numbers are Python ints.  NotClosed
-    names the first residue that breaks k[0] = 0 or, for r > 0, k[r] >= 1
-    (an Apery element not above m)."""
+    Python ints otherwise; the summary numbers are Python ints.  ValueError
+    refuses a k not one-dimensional of integers; NotClosed names the first
+    residue that breaks k[0] = 0 or, for r > 0, k[r] >= 1 (an Apery element
+    not above m)."""
 
     k: np.ndarray
     multiplicity: int = field(init=False)
@@ -78,6 +80,9 @@ class SemigroupProfile:
         k = np.asarray(self.k)
         if not k.size:
             raise EmptyInput("Kunz vector is empty")
+        ints = k.dtype.kind in "iu" or k.dtype == object and all(type(x) is int for x in k.flat)
+        if k.ndim != 1 or not ints:  # a float or bool k would be truncated
+            raise ValueError(f"Kunz vector must be 1-D of integers, got {k.ndim}-D {k.dtype}")
         m, top = len(k), _largest(k)
         if k[0] != 0:
             raise NotClosed(f"residue 0 holds {m * int(k[0])}: not in Apery normal form for m = {m}")
@@ -160,8 +165,8 @@ class GapSet:
     """Sorted gap values, all below ``bound``.
 
     The complement of a valid gap set is cofinite and closed under
-    addition; that closure is checked separately by
-    :func:`verify_cofinite_complement`, not at construction time.
+    addition; :func:`verify_cofinite_complement` checks that closure, not
+    construction.
     """
 
     gaps: tuple[int, ...]
@@ -267,30 +272,20 @@ def is_symmetric(p: SemigroupProfile) -> bool:
 
 
 def verify_cofinite_complement(gs: GapSet) -> bool:
-    """Check that the complement of a gap set is closed under addition.
-
-    Only sums x + y below ``gs.bound`` are examined; closure above the
-    largest gap is automatic.  Implemented as bitset sweeps: one shift-and
-    per positive complement element.
-    """
-    bound = gs.bound
-    if bound <= 0:
-        return True
-    gap_bits = 0
-    for v in gs.gaps:
-        gap_bits |= 1 << v
-    mask = (1 << bound) - 1
-    comp = mask & ~gap_bits
-    cur = comp >> 1  # positive elements only; x + 0 is trivially fine
-    x = 1
-    while cur:
-        shift = (cur & -cur).bit_length() - 1
-        x += shift
-        cur >>= shift
-        if (comp << x) & gap_bits:
+    """Whether the complement of a gap set is closed under addition.  With
+    m the least positive non-gap, it is iff each residue r holds the gaps
+    r + j*m, j < k[r], for some k that the sweep of :func:`minimal_generators`
+    accepts, as the Kunz vector of the generators it finds."""
+    m = next((v for v, g in enumerate(gs.gaps, 1) if g != v), len(gs.gaps) + 1)
+    k = [0] * m
+    for g in gs.gaps:
+        if g // m != k[g % m]:  # a member of its residue lies below g
             return False
-        cur >>= 1
-        x += 1
+        k[g % m] += 1
+    try:
+        minimal_generators(SemigroupProfile(k))
+    except NotClosed:
+        return False
     return True
 
 

@@ -30,7 +30,7 @@ from skabelund import (
 )
 from skabelund.semigroup import contains
 
-from oracles import random_generator_list, sieve_gaps, sieve_window, witness_cost
+from oracles import closed_apery, random_generator_list, sieve_gaps, sieve_window, witness_cost
 
 GENUS_BY_S = {1: 196, 2: 15376, 3: 1032256}
 TABLE1_COUNTS = {1: (146, 31, 8, 0, 9, 2), 2: (12584, 2393, 192, 96, 87, 24)}
@@ -116,6 +116,9 @@ def test_c06_generic_complement_closure():
         prof = generic_semigroup(p).profile
         window = GapSet(gap_set.gaps, 2 * prof.conductor)
         _report(f"c06 full pairwise closure s={s}", verify_cofinite_complement(window))
+        # the sweep above is the one generic_semigroup ran; check it apart
+        _report(f"c06 pairwise Apery closure s={s}",
+                closed_apery(prof.multiplicity, list(prof.apery)))
     p = make_params(3)
     prof = generic_semigroup(p).profile  # exact closure, raises NotClosed on violation
     rng = random.Random(123)

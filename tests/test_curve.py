@@ -38,7 +38,7 @@ def test_make_params_small():
     assert make_params(3).genus == 1032256  # 128 * 127^2 / 2
 
 
-@pytest.mark.parametrize("bad", [0, 7, -1, "2", 2.0])
+@pytest.mark.parametrize("bad", [0, 7, -1, "2", 2.0, True])
 def test_make_params_rejects(bad):
     with pytest.raises(UnsupportedS):
         make_params(bad)

@@ -62,6 +62,15 @@ def test_empty_apery_set_or_kunz_vector_rejected():
         SemigroupProfile(np.array([], dtype=np.int64))
 
 
+@pytest.mark.parametrize("k", [np.array([0, 1.5, 2.0]), [0, 1.9, 1], np.array([0, 1, 1], dtype=bool),
+                               np.array([[0, 1], [1, 1]]), np.array([0, 1, 2.0], dtype=object)])
+def test_kunz_vector_of_non_integers_rejected(k):
+    # a float, bool or non-int entry would be truncated ([0, 1.9, 1] to
+    # k = [0, 1, 1], with a conductor from 1.9), and a 2-D k fail deep inside
+    with pytest.raises(ValueError, match="^Kunz vector must be 1-D of integers, got "):
+        SemigroupProfile(k)
+
+
 def test_generator_set_requires_strict_increase():
     with pytest.raises(ValueError):
         GeneratorSet((3, 3, 5))
@@ -129,6 +138,40 @@ def test_verify_cofinite_complement():
     assert verify_cofinite_complement(GapSet((1, 2, 4, 7), 8))
     assert not verify_cofinite_complement(GapSet((2,), 3))
     assert verify_cofinite_complement(GapSet((), 1))
+    assert verify_cofinite_complement(GapSet((), 0))
+    # residue 0 holds the gap 6 = 3 + 3
+    assert not verify_cofinite_complement(GapSet((1, 2, 6), 7))
+    # 7 lies above the member 4 of its residue mod 3
+    assert not verify_cofinite_complement(GapSet((1, 2, 7), 8))
+    # each residue's gaps come first, but 8 = 4 + 4: the sweep refuses k = [0, 1, 3]
+    assert not verify_cofinite_complement(GapSet((1, 2, 5, 8), 9))
+
+
+def _closed_pairwise(gaps, bound):
+    members = [n for n in range(bound) if n not in gaps]
+    return not any(a + b in gaps for a in members for b in members)
+
+
+def test_verify_cofinite_complement_matches_pairwise_closure():
+    # random gap sets below bounds under 40, against every pair of members.
+    # Half are drawn value by value, mostly with a gap above a member of its
+    # residue; half from a random k, residue r holding r + j*m for j < k[r],
+    # which only the sweep can refuse.
+    rng = random.Random(41)
+    closed = {False: 0, True: 0}
+    for i in range(10_000):
+        if i % 2:
+            m = rng.randint(1, 8)
+            k = [0] + [rng.randint(1, 4) for _ in range(m - 1)]
+            gaps = tuple(sorted(r + j * m for r in range(m) for j in range(k[r])))
+            bound = (gaps[-1] + 1 if gaps else 0) + rng.randrange(3)
+        else:
+            bound, density = rng.randrange(40), rng.random()
+            gaps = tuple(n for n in range(1, bound) if rng.random() < density)
+        expect = _closed_pairwise(set(gaps), bound)
+        assert verify_cofinite_complement(GapSet(gaps, bound)) == expect, (gaps, bound)
+        closed[bool(i % 2)] += expect
+    assert 1_000 < closed[False] < 2_000 and 3_000 < closed[True] < 4_000, closed
 
 
 def test_gap_set_validation():
