@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from dataclasses import asdict, fields
 from types import GeneratorType
 from typing import BinaryIO, Iterator
 
@@ -93,7 +91,7 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
         payload["apery"] = apery = profile.apery_array()
         apery.sort()
     else:
-        payload[emit] = list(gens) if emit == "generators" else asdict(stats)
+        payload[emit] = list(gens) if emit == "generators" else stats._asdict()
     return payload, 0
 
 
@@ -195,6 +193,9 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[bytes]:
     or an array, read as one int64 array) and gaps (streamed from their Kunz
     coordinates) through :func:`_decimal`, witness records (the windows of
     :func:`skabelund.families.witness_windows`) through :func:`_witness_blocks`."""
+    if fmt == "json":
+        import json  # loaded for JSON reports only
+
     key, series = list(payload.items())[-1]
     witnesses = isinstance(series, GeneratorType)
     if witnesses and fmt == "csv":
@@ -290,11 +291,13 @@ def _witness_blocks(windows: Iterator[np.ndarray], q0: int, fmt: str, sep: str) 
 
     nb, ne = 2 * q0 - 2, q0 - 1
     if fmt == "json":
+        import json
+
         d = "%d"
         lists = {"b": [d] * nb, "e": [d] * ne}
         record = {"value": d, "family": "F%d",
-                  "params": {f.name: d for f in fields(families.FamilyParams)},
-                  "witness": {f.name: lists.get(f.name, d) for f in fields(families.WitnessVector)}}
+                  "params": dict.fromkeys(families.FamilyParams._fields, d),
+                  "witness": {name: lists.get(name, d) for name in families.WitnessVector._fields}}
         template = json.dumps(record, indent=2).replace('"%d"', d).replace("\n", "\n    ")
         rows = slice(None)
     else:
@@ -425,6 +428,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the program makes no BLAS call (its only matrix products are integer), so
+    # OpenBLAS, read when numpy loads, gets one thread unless the caller chose
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -17,9 +17,8 @@ into Kunz coordinates.  Generic points are handled in :mod:`skabelund.families`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateResidue, OutOfDomain, SumMismatch, UnsupportedS
 from .semigroup import GeneratorSet, SemigroupProfile, SemigroupStats
@@ -27,8 +26,7 @@ from .semigroup import GeneratorSet, SemigroupProfile, SemigroupStats
 S_MAX = 6  # keeps every derived quantity (~q^3) far inside 64 bits
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(NamedTuple):
     """The parameter triple (s, q0, q) with derived genus."""
 
     s: int
@@ -38,8 +36,7 @@ class CurveParams:
     two_g_minus_2: int
 
 
-@dataclass(frozen=True)
-class PoleOrderTable:
+class PoleOrderTable(NamedTuple):
     """(vanishing order at the point, pole order at infinity) for each
     building-block function of the gap-witness monomials.
 

@@ -37,9 +37,8 @@ parameters and witness) as int64 columns, one value window at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,8 +62,10 @@ class FamilyId(Enum):
     F6 = 6
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyParams:
+_PARAMS = ("a1", "a2", "a3", "a4", "f", "n", "c", "d", "sigma", "nu")
+
+
+class FamilyParams(NamedTuple("FamilyParams", [(name, int) for name in _PARAMS])):
     """Exponent tuple producing one family value.
 
     ``n`` is the family index used by F2/F3/F4/F6, ``c``/``d`` are the two
@@ -72,26 +73,20 @@ class FamilyParams:
     are stored redundantly; construction checks ``sigma`` (``nu`` needs q0).
     """
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    f: int
-    n: int
-    c: int
-    d: int
-    sigma: int
-    nu: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "FamilyParams":
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.a1, self.a2, self.a3, self.a4, self.f, self.n, self.c, self.d) < 0:
             raise ValueError("family parameters must be non-negative")
         if self.sigma != self.a1 + self.a2 + self.a3 + self.a4 + self.f:
             raise ValueError(f"stored sigma {self.sigma} disagrees with components")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True, slots=True)
-class GapRecord:
+class GapRecord(NamedTuple):
     """One gap value together with the family and parameters producing it."""
 
     value: int
@@ -112,12 +107,10 @@ class GapRecord:
 
 # a gap's record up to the witness's block exponents: value, family number,
 # the FamilyParams fields, then the witness's a1..f (WitnessVector order)
-_RECORD = ("value", "family", "a1", "a2", "a3", "a4", "f", "n", "c", "d", "sigma", "nu",
-           "a1", "a2", "a3", "a4", "f")
+_RECORD = ("value", "family", *_PARAMS, "a1", "a2", "a3", "a4", "f")
 
 
-@dataclass(frozen=True)
-class _Rows:
+class _Rows(NamedTuple):
     """The progression rows of one family, as int64 columns.
 
     Row i holds ``length[i]`` values.  Its value starts at ``value[i]`` and
@@ -429,8 +422,7 @@ def _div24(numerator: int) -> int:
     return numerator // 24
 
 
-@dataclass(frozen=True, slots=True)
-class GenericSemigroup:
+class GenericSemigroup(NamedTuple):
     """The generic-point semigroup, its per-family gap counts and minimal generators."""
 
     profile: SemigroupProfile
@@ -454,8 +446,7 @@ def generic_semigroup(p: CurveParams) -> GenericSemigroup:
 # ---------------------------------------------------------------------------
 # Witnesses.
 
-@dataclass(frozen=True, slots=True)
-class WitnessVector:
+class WitnessVector(NamedTuple):
     """Exponents of a gap-witness monomial.
 
     Field by field: ``a1``, ``a2``, ``a3``, ``a4`` are the exponents of x,

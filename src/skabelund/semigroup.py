@@ -32,22 +32,21 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyInput, NonCoprime, NotClosed, Overflow
 
 U64_MAX = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple("GeneratorSet", [("gens", tuple[int, ...])])):
     """Strictly increasing positive integers with overall gcd 1."""
 
-    gens: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "GeneratorSet":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.gens:
             raise EmptyInput("generator set is empty")
         if self.gens[0] < 1:
@@ -56,9 +55,11 @@ class GeneratorSet:
             raise ValueError("generators must be strictly increasing")
         if math.gcd(*self.gens) != 1:
             raise NonCoprime(f"gcd({', '.join(map(str, self.gens))}) != 1")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True, eq=False)
 class SemigroupProfile:
     """A numerical semigroup in Kunz coordinates: residue r modulo m = len(k)
     holds the k[r] gaps r + j*m, j < k[r], below its Apery element r + m*k[r].
@@ -66,18 +67,14 @@ class SemigroupProfile:
     Python ints otherwise; the summary numbers are Python ints.  ValueError
     refuses a k not one-dimensional of integers; NotClosed names the first
     residue that breaks k[0] = 0 or, for r > 0, k[r] >= 1 (an Apery element
-    not above m)."""
+    not above m).  Fields are read-only; equal k means equal profiles."""
 
-    k: np.ndarray
-    multiplicity: int = field(init=False)
-    genus: int = field(init=False)
-    conductor: int = field(init=False)
-    frobenius: int = field(init=False)
+    __slots__ = ("k", "multiplicity", "genus", "conductor", "frobenius")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k: np.ndarray) -> None:
         import numpy as np
 
-        k = np.asarray(self.k)
+        k = np.asarray(k)
         if not k.size:
             raise EmptyInput("Kunz vector is empty")
         ints = k.dtype.kind in "iu" or k.dtype == object and all(type(x) is int for x in k.flat)
@@ -91,9 +88,17 @@ class SemigroupProfile:
             raise NotClosed(f"residue {r} holds {r + m * int(k[r])}, not above m = {m}")
         k = k.astype(np.int64 if top < 2**63 else object, copy=False).view()
         k.flags.writeable = False
-        for name, value in (("k", k), ("multiplicity", m), ("genus", int(k.sum())),
-                            ("conductor", 1 + top - m), ("frobenius", top - m)):
+        for name, value in zip(self.__slots__, (k, m, int(k.sum()), 1 + top - m, top - m)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other: object) -> bool:
         import numpy as np
@@ -145,8 +150,7 @@ class SemigroupProfile:
                 yield alive[i:i + size] + j * m
 
 
-@dataclass(frozen=True)
-class SemigroupStats:
+class SemigroupStats(NamedTuple):
     """Summary numbers of a semigroup, detached from its Apery array."""
 
     multiplicity: int
@@ -160,8 +164,7 @@ class SemigroupStats:
         return cls(p.multiplicity, p.genus, p.conductor, p.frobenius, is_symmetric(p))
 
 
-@dataclass(frozen=True)
-class GapSet:
+class GapSet(NamedTuple("GapSet", [("gaps", tuple[int, ...]), ("bound", int)])):
     """Sorted gap values, all below ``bound``.
 
     The complement of a valid gap set is cofinite and closed under
@@ -169,10 +172,10 @@ class GapSet:
     construction.
     """
 
-    gaps: tuple[int, ...]
-    bound: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "GapSet":
+        self = super().__new__(cls, *args, **kwargs)
         g = self.gaps
         if not all(map(operator.lt, g, islice(g, 1, None))):
             raise ValueError("gaps must be strictly increasing")
@@ -180,6 +183,9 @@ class GapSet:
             raise ValueError("0 cannot be a gap")
         if g and g[-1] >= self.bound:
             raise ValueError("all gaps must lie below the bound")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 def normalize_generators(raw: Iterable[int]) -> GeneratorSet:
@@ -193,17 +199,18 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     Start from <m>, m = min(gens), and add the other generators one at a
     time.  With D[r] = r + m*k[r], adding a gives D'[r] = min over j >= 0
     of D[(r - j*a) mod m] + j*a.  Only j with j*a <= max(D) and
-    j < m / gcd(a, m) can improve an entry; call the largest such j uses.
-    Each :func:`_relax` pass with w = 2**i * a doubles the j covered, so
-    ceil(log2(uses + 1)) passes over m add a.
+    j < m / gcd(a, m) can improve an entry.  The largest j tried, uses,
+    reads max(D) as m - 1 + m*max(k), from max(k) alone: less than one a
+    above it, as a > m.  Each :func:`_relax` pass with w = 2**i * a doubles
+    the j covered, so ceil(log2(uses + 1)) passes over m add a.
 
     Every Apery element is a sum of at most m - 1 generators, below
     m * max(gens): the "unreached" sentinel k = max(gens) lies above them
     all, and keeps uses at m / gcd(a, m) - 1 while it remains.  As
-    w <= max(D), every k formed is at most 2 * max(gens) + 1, so the passes
-    run in :func:`_narrow` of that bound; the profile widens k once, at the
-    end.  Raises :class:`Overflow` when an Apery element exceeds 64 bits
-    unsigned.
+    w div m <= max(k), every k formed is at most 2 * max(gens) + 1, so the
+    passes run in :func:`_narrow` of that bound; the profile widens k once,
+    at the end.  Raises :class:`Overflow` when an Apery element exceeds 64
+    bits unsigned.
     """
     import numpy as np
 
@@ -212,7 +219,7 @@ def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:
     k[0] = 0
     scratch = np.empty_like(k)
     for a in gens[1:]:
-        uses = min(_largest(k) // a, m // math.gcd(a, m) - 1)
+        uses = min((m - 1 + m * int(k.max())) // a, m // math.gcd(a, m) - 1)
         for i in range(uses.bit_length()):
             _relax(k, k, a << i, scratch)
     del scratch  # before the profile's wider copy of k

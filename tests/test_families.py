@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import re
@@ -140,7 +139,7 @@ def test_kunz_counts_guards(p1, monkeypatch):
         # each family becomes the rows (first value, length) on its own step
         def rows(p, fid):
             first, length = np.array(table.get(fid, []), dtype=np.int64).reshape(-1, 2).T
-            return dataclasses.replace(real(p, fid), length=length, value=first)
+            return real(p, fid)._replace(length=length, value=first)
         monkeypatch.setattr(fam, "_family_rows", rows)
 
     # 7 is no F1 value (its digit sum is too small for F2..F6), so the rows
@@ -211,7 +210,7 @@ def _lengthen_f1(rows):
     # F1 row 8 at s = 2, one value longer: its next value is another gap
     length = rows.length.copy()
     length[8] += 1
-    return dataclasses.replace(rows, length=length)
+    return rows._replace(length=length)
 
 
 def _shift_f3(rows):
@@ -219,14 +218,14 @@ def _shift_f3(rows):
     # lands on the neighbouring row of that column
     value = rows.value.copy()
     value[0] += rows.step
-    return dataclasses.replace(rows, value=value)
+    return rows._replace(value=value)
 
 
 def _overrun_f5(rows):
     # F5 row 0 starts in range, but runs down its column past 0
     length = rows.length.copy()
     length[0] = rows.value[0] // -rows.step + 2
-    return dataclasses.replace(rows, length=length)
+    return rows._replace(length=length)
 
 
 @pytest.mark.parametrize("fid, mutate, error", [
@@ -315,7 +314,7 @@ def test_duplicated_row_names_first_repeat(p2, monkeypatch):
         if fid is not FamilyId.F2:
             return rows
         idx = np.insert(np.arange(len(rows.length)), row, row)
-        return dataclasses.replace(rows, length=rows.length[idx], value=rows.value[idx])
+        return rows._replace(length=rows.length[idx], value=rows.value[idx])
 
     monkeypatch.setattr(fam, "_family_rows", doubled)
     first = int(real(p2, FamilyId.F2).value[row])
@@ -412,8 +411,7 @@ def test_genus_mismatch_detected(p1, monkeypatch):
         rows = real(p, fid, params)
         if fid is not FamilyId.F1:
             return rows
-        return dataclasses.replace(rows, length=np.append(rows.length, 1),
-                                   value=np.append(rows.value, 125))
+        return rows._replace(length=np.append(rows.length, 1), value=np.append(rows.value, 125))
 
     monkeypatch.setattr(fam, "_family_rows", raised)
     for entry in (fam.generic_semigroup, fam.enumerate_values, fam.enumerate_all):
@@ -433,8 +431,7 @@ def test_hole_in_complement_detected(s, request, monkeypatch):
         rows = real(p, fid)
         if fid is not FamilyId.F1:
             return rows
-        return dataclasses.replace(rows, length=np.append(rows.length, 1),
-                                   value=np.append(rows.value, 2 * m))
+        return rows._replace(length=np.append(rows.length, 1), value=np.append(rows.value, 2 * m))
 
     monkeypatch.setattr(fam, "_family_rows", with_hole)
     with pytest.raises(NotClosed, match=f"^residue 0 holds 1 gaps summing to {2 * m}, not 0:"):

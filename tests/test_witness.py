@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -100,7 +99,7 @@ def test_seeds_match_oracle(s, request):
     assert fam.witness_faults(p) == (0, None)
     assert columns[0].tolist() == [r.value for r in records]
     assert columns[1].tolist() == [r.family.value for r in records]
-    assert columns[2:12].T.tolist() == [list(dataclasses.astuple(r.params)) for r in records]
+    assert columns[2:12].T.tolist() == [list(r.params) for r in records]
     expected = [witness_fields(family_seed(p, r)) for r in records]
     assert columns[12:].T.tolist() == expected
     assert [witness_fields(gap_witness(p, r)) for r in records] == expected
@@ -124,8 +123,8 @@ def test_pole_bound_is_inclusive(p2, records_s2, monkeypatch):
     _, records = records_s2
     poles = [witness_cost(p2, gap_witness(p2, r))[1] for r in records]
     top = max(poles)
-    assert fam.witness_faults(dataclasses.replace(p2, two_g_minus_2=top)) == (0, None)
-    tight = dataclasses.replace(p2, two_g_minus_2=top - 1)
+    assert fam.witness_faults(p2._replace(two_g_minus_2=top)) == (0, None)
+    tight = p2._replace(two_g_minus_2=top - 1)
     failing = [r for r, cost in zip(records, poles) if cost == top]
     assert fam.witness_faults(tight) == (len(failing), failing[0].value)
     monkeypatch.setattr(curve, "make_params", lambda s: tight)
