@@ -10,9 +10,10 @@ special classes in closed form:
 * quartic points (defined over F_{q^4} but not F_q): 3*q0 + 3 generators,
   and an Apery set {phi(i) * g0 + i} driven by the piecewise map phi.
 
-Each Apery set is written once, as a table of cells that the summary
-statistics sum in closed form and that :func:`special_profile` expands
-into Kunz coordinates.  Generic points are handled in :mod:`skabelund.families`.
+Each Apery set is written once, as a table of O(q0) runs of its O(q)
+cells, that the summary statistics sum in closed form and that
+:func:`special_profile` expands into Kunz coordinates.  Generic points are
+handled in :mod:`skabelund.families`.
 """
 
 from __future__ import annotations
@@ -165,24 +166,25 @@ def pole_order_table(p: CurveParams) -> PoleOrderTable:
 
 
 # ---------------------------------------------------------------------------
-# Apery-set cell tables.  A table yields, for each of its cells, a tuple
-# (e, d, w, a, b, L) of Python ints with b > 0 and L > 0; row l < L of a cell
-# is the Apery element e + d*l + w*max(a - b*l, 0).  The stats sum each cell
-# in closed form; only the sets and phi_values expand the table, block by
-# block, and only that expansion builds arrays.
+# Apery-set run tables.  A table yields runs (e, de, n, d, w, a, b, L) of
+# Python ints with n > 0, b > 0 and L > 0: n cells that share (d, w, a, b, L),
+# cell i < n starting at e + i*de, whose row l < L is the Apery element
+# e + i*de + d*l + w*max(a - b*l, 0).  The stats sum each run in closed form;
+# only the sets and phi_values expand the table, block by block, and only
+# that expansion builds arrays.
 
 _BLOCK = 1 << 16  # elements per expanded block; small blocks keep temporaries in cache
 
 
-def _rational_cells(p: CurveParams) -> Iterator[tuple[int, ...]]:
-    """The rational box: cell (h, i, k) holds h*g1 + i*g2 + k*g4 + j*g3 in row j."""
+def _rational_runs(p: CurveParams) -> Iterator[tuple[int, ...]]:
+    """The rational box: cell (h, i, k) holds h*g1 + i*g2 + k*g4 + j*g3 in
+    row j, one run over k for each (h, i)."""
     _, g1, g2, g3, g4 = rational_generators(p).gens
     box = range(p.q0)
-    return ((e + i * g2 + k * g4, g3, 0, 0, 1, p.q - 2 * p.q0 + 1)
-            for e in (0, g1) for i in box for k in box)
+    return ((e + i * g2, g4, p.q0, g3, 0, 0, 1, p.q - 2 * p.q0 + 1) for e in (0, g1) for i in box)
 
 
-def _quartic_cells(p: CurveParams) -> Iterator[tuple[int, ...]]:
+def _quartic_runs(p: CurveParams) -> Iterator[tuple[int, ...]]:
     """The quartic Apery elements phi(i)*g0 + i, in 2 x q cells.
 
     The lower range 0 <= i <= q(q-2)/2 is rows l of i = l*q + cell with
@@ -190,32 +192,39 @@ def _quartic_cells(p: CurveParams) -> Iterator[tuple[int, ...]]:
     phi = l), so cells other than 0 get q/2 - 1 rows.  The upper range
     mirrors onto q/2 whole rows of g0 - 1 - i = l*q + cell.  In half
     h = 0, 1 the element is e + (-1)^h * (g0*max(a - b*l, 0) + (g0 + q)*l),
-    with a, b, e read off phi1 and phi2.
+    with e = g0 + cell or q*g0 - 1 - cell and a, b read off phi1 and phi2.
+    Cell 0 (a = 0), the cells j = 0 below and j = q0 - 1 above (b = 2q0)
+    are runs of one.  Every other cell has b = q0 and a = q - q0*(c + 1) on
+    its diagonal c = c' + j, where k = 2c' - parity; along a diagonal the
+    cell steps by 2q0 - 1 as c' rises, so each (h, parity, c) is one run.
     """
     q0, q = p.q0, p.q
     g0 = quartic_multiplicity(p)
-    for upper in (False, True):
-        for cell in range(q):
-            j, k = cell % q0, cell // q0
-            a, b = q - q0 * ((k + 1) // 2 + j + 1), q0
-            if upper:
-                if j == q0 - 1:
-                    a, b = q - q0 * (k + 1), 2 * q0
-                yield q * g0 - 1 - cell, -g0 - q, -g0, a, b, q // 2
-            elif cell == 0:  # j = k = 0: phi = l
-                yield 0, g0 + q, g0, 0, b, q // 2
-            else:
-                if j == 0:
-                    a, b = q - q0 * (k + 2), 2 * q0
-                yield g0 + cell, g0 + q, g0, a, b, q // 2 - 1
+    yield 0, 0, 1, g0 + q, g0, 0, q0, q // 2  # cell 0: phi = l
+    for h in (0, 1):
+        sign, e, rows = (-1, q * g0 - 1, q // 2) if h else (1, g0, q // 2 - 1)
+        d, w = sign * (g0 + q), sign * g0
+        for k in range(1 - h, 2 * q0):
+            yield e + sign * (k * q0 + h * (q0 - 1)), 0, 1, d, w, q - q0 * (k + 2 - h), 2 * q0, rows
+        for parity in (0, 1):
+            for c in range(2 * q0):  # c' = c - j over 1 - h <= j <= q0 - 1 - h
+                lo, hi = max(parity, c - q0 + 1 + h), min(q0 - 1 + parity, c - 1 + h)
+                if lo <= hi:
+                    cell = (2 * lo - parity) * q0 + c - lo
+                    yield (e + sign * cell, sign * (2 * q0 - 1), hi - lo + 1, d, w,
+                           q - q0 * (c + 1), q0, rows)
 
 
-def _expand(cells: Iterable[tuple[int, ...]]):
-    """The elements of a cell table, whole rows of about _BLOCK elements at a
-    time: row l of every cell, e + d*l + w*max(a - b*l, 0), in one buffer."""
+def _expand(runs: Iterable[tuple[int, ...]]):
+    """The elements of a run table, whole rows of about _BLOCK elements at a
+    time: the runs repeated into cells, then row l of every cell,
+    e + d*l + w*max(a - b*l, 0), in one buffer."""
     import numpy as np
 
-    e, d, w, a, b, rows = np.array([*zip(*cells)], dtype=np.int64)
+    runs = np.array([*zip(*runs)], dtype=np.int64)
+    runs[0] -= runs[1] * (np.cumsum(runs[2]) - runs[2])  # so cell c starts at e + c*de
+    e, de, _, d, w, a, b, rows = np.repeat(runs, runs[2], axis=1)
+    e += de * np.arange(e.size)
     depth = int(rows.max())
     step = max(1, _BLOCK // rows.size)
     for l0 in range(0, depth, step):
@@ -229,20 +238,23 @@ def _expand(cells: Iterable[tuple[int, ...]]):
         yield x[l < rows]
 
 
-def _cell_sums(cells: Iterable[tuple[int, ...]]) -> tuple[int, int, int]:
-    """(count, exact sum, largest element) of a cell table in O(cells).
+def _cell_sums(runs: Iterable[tuple[int, ...]]) -> tuple[int, int, int]:
+    """(count, exact sum, largest element) of a run table in O(runs).
 
     In a cell, the t rows with a - b*l > 0 add w*(t*a - b*t(t-1)/2) on top
-    of the arithmetic progression e + d*l.  The element is linear on rows
+    of the arithmetic progression e + d*l, and each row of a run adds up
+    its n cells' starts, n*e + de*n(n-1)/2.  The element is linear on rows
     [0, t), with slope d - w*b, and on [t, L), with slope d, so it peaks at
-    an end of one of the two, picked by the slope's sign.  The top starts
-    at 0, which every Apery set holds.
+    an end of one of the two, picked by the slope's sign, in the run's cell
+    with the largest start.  The top starts at 0, which every Apery set holds.
     """
     count = total = top = 0
-    for e, d, w, a, b, rows in cells:
+    for e, de, n, d, w, a, b, rows in runs:
         t = min(-(-a // b), rows) if a > 0 else 0
-        count += rows
-        total += rows * e + d * (rows * (rows - 1) // 2) + w * (t * a - b * (t * (t - 1) // 2))
+        count += n * rows
+        total += (rows * (n * e + de * (n * (n - 1) // 2))
+                  + n * (d * (rows * (rows - 1) // 2) + w * (t * a - b * (t * (t - 1) // 2))))
+        e += max(de, 0) * (n - 1)
         if t:
             slope = d - w * b
             top = max(top, e + w * a + (slope * (t - 1) if slope > 0 else 0))
@@ -263,11 +275,11 @@ def special_profile(p: CurveParams, point: str) -> SemigroupProfile:
     """
     import numpy as np
 
-    m, cells = {"rational": (rational_generators(p).gens[0], _rational_cells),
-                "quartic": (quartic_multiplicity(p), _quartic_cells)}[point]
+    m, runs = {"rational": (rational_generators(p).gens[0], _rational_runs),
+               "quartic": (quartic_multiplicity(p), _quartic_runs)}[point]
     k, seen = np.empty(m, dtype=np.int64), np.zeros(m, dtype=bool)
     count = total = top = 0
-    for block in _expand(cells(p)):
+    for block in _expand(runs(p)):
         count += block.size
         total += int(block.sum())  # exact: a block sums below 2^63 up to s = 6
         top = max(top, int(block.max()))
@@ -276,7 +288,7 @@ def special_profile(p: CurveParams, point: str) -> SemigroupProfile:
         seen[residues] = True
         k[residues] = block
     if np.count_nonzero(seen) < count:
-        _first_repeat(m, _expand(cells(p)))
+        _first_repeat(m, _expand(runs(p)))
     _stats(p, m, count, total, top)
     return SemigroupProfile(k)
 
@@ -329,11 +341,11 @@ def phi_values(p: CurveParams, idx: np.ndarray) -> np.ndarray:
 
 def rational_apery_stats(p: CurveParams) -> SemigroupStats:
     """Summary statistics of the rational-point semigroup, summed in closed
-    form over the cells of its Apery box (usable up to s = 6)."""
-    return _stats(p, rational_generators(p).gens[0], *_cell_sums(_rational_cells(p)))
+    form over the runs of cells of its Apery box (usable up to s = 6)."""
+    return _stats(p, rational_generators(p).gens[0], *_cell_sums(_rational_runs(p)))
 
 
 def quartic_apery_stats(p: CurveParams) -> SemigroupStats:
     """Summary statistics of the quartic-point semigroup, summed in closed
-    form over the cells of every phi(i)*g0 + i (usable up to s = 6)."""
-    return _stats(p, quartic_multiplicity(p), *_cell_sums(_quartic_cells(p)))
+    form over the runs of cells of every phi(i)*g0 + i (usable up to s = 6)."""
+    return _stats(p, quartic_multiplicity(p), *_cell_sums(_quartic_runs(p)))

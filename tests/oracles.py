@@ -13,20 +13,24 @@ mask marks the generic gaps value by value, and the row oracle adds them to
 their residues one by one, where ``families.kunz_counts`` counts whole
 progression rows per residue.  The phi formula
 restates the paper's piecewise offset map over whole index arrays, with
-none of the per-cell tables that ``skabelund.curve`` streams its Apery sets from.
-The cell-sum oracle sums those tables as one numpy array, taking each
-cell's peak as the largest of four candidate rows, where ``curve._cell_sums``
-walks the cells in Python ints and picks at most two.
+none of the run tables that ``skabelund.curve`` streams its Apery sets from.
+The per-cell tables write each Apery set one cell at a time, where those
+group the cells into runs that step their start by a constant, and the
+cell-sum oracle sums them as one numpy array, taking each cell's peak as
+the largest of four candidate rows, where ``curve._cell_sums`` walks the
+runs in Python ints and picks at most two per run.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Iterator
 
 import numpy as np
 
-from skabelund import DuplicateGap, FamilyId, GapRecord, WitnessVector, pole_order_table
+from skabelund import (CurveParams, DuplicateGap, FamilyId, GapRecord, WitnessVector,
+                       pole_order_table, quartic_multiplicity, rational_generators)
 from skabelund import families
 
 
@@ -216,6 +220,49 @@ def phi_formula(p, idx: np.ndarray) -> np.ndarray:
     phi1 = np.where(j == 0, phi1, l + 1 + inner)
     phi2 = q - l - 1 - np.where(j == q0 - 1, np.maximum(q - q0 * (k + 2 * l + 1), 0), inner)
     return np.where(upper, phi2, phi1)
+
+
+def rational_cells(p: CurveParams) -> Iterator[tuple[int, ...]]:
+    """The rational box: cell (h, i, k) holds h*g1 + i*g2 + k*g4 + j*g3 in row j."""
+    _, g1, g2, g3, g4 = rational_generators(p).gens
+    box = range(p.q0)
+    return ((e + i * g2 + k * g4, g3, 0, 0, 1, p.q - 2 * p.q0 + 1)
+            for e in (0, g1) for i in box for k in box)
+
+
+def quartic_cells(p: CurveParams) -> Iterator[tuple[int, ...]]:
+    """The quartic Apery elements phi(i)*g0 + i, in 2 x q cells.
+
+    The lower range 0 <= i <= q(q-2)/2 is rows l of i = l*q + cell with
+    cell = k*q0 + j, cut after the split index (cell 0 of row q/2 - 1, where
+    phi = l), so cells other than 0 get q/2 - 1 rows.  The upper range
+    mirrors onto q/2 whole rows of g0 - 1 - i = l*q + cell.  In half
+    h = 0, 1 the element is e + (-1)^h * (g0*max(a - b*l, 0) + (g0 + q)*l),
+    with a, b, e read off phi1 and phi2.
+    """
+    q0, q = p.q0, p.q
+    g0 = quartic_multiplicity(p)
+    for upper in (False, True):
+        for cell in range(q):
+            j, k = cell % q0, cell // q0
+            a, b = q - q0 * ((k + 1) // 2 + j + 1), q0
+            if upper:
+                if j == q0 - 1:
+                    a, b = q - q0 * (k + 1), 2 * q0
+                yield q * g0 - 1 - cell, -g0 - q, -g0, a, b, q // 2
+            elif cell == 0:  # j = k = 0: phi = l
+                yield 0, g0 + q, g0, 0, b, q // 2
+            else:
+                if j == 0:
+                    a, b = q - q0 * (k + 2), 2 * q0
+                yield g0 + cell, g0 + q, g0, a, b, q // 2 - 1
+
+
+def cells_of_runs(runs) -> list[tuple[int, ...]]:
+    """The cells (e + i*de, d, w, a, b, L), i < n, of each run
+    (e, de, n, d, w, a, b, L) of a ``skabelund.curve`` run table."""
+    return [(e + i * de, d, w, a, b, rows)
+            for e, de, n, d, w, a, b, rows in runs for i in range(n)]
 
 
 def cell_sums_oracle(cells) -> tuple[int, int, int]:

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from skabelund import (
 )
 from skabelund.curve import phi_values
 
-from oracles import cell_sums_oracle, phi_formula, sieve_minimal_generators
+from oracles import (cell_sums_oracle, cells_of_runs, phi_formula, quartic_cells, rational_cells,
+                     sieve_minimal_generators)
 
 
 def test_make_params_small():
@@ -222,7 +224,7 @@ def test_quartic_stats_match_brute_phi(s):
     p = make_params(s)
     g0 = quartic_multiplicity(p)
     idx = np.arange(g0, dtype=np.int64)
-    offs = phi_formula(p, idx)  # not phi_values, which expands the same cells as the stats
+    offs = phi_formula(p, idx)  # not phi_values, which expands the same runs as the stats
     stats = quartic_apery_stats(p)
     assert stats.genus == int(offs.sum())
     assert stats.conductor == 1 + int((offs * g0 + idx).max()) - g0
@@ -244,18 +246,30 @@ def test_rational_apery_names_first_duplicate(monkeypatch):
                 rational_apery(make_params(1))
 
 
-def _faulty(cells_of, fault):
-    """The cell table of cells_of with one fault: every row of its last cell
-    raised by 1 or by the multiplicity m, or the last row of its first cell
-    dropped."""
-    def cells(p):
-        table = [list(cell) for cell in cells_of(p)]
+def _split(run, i):
+    """A run as up to three runs, with its cell i a run of one between the
+    cells before and after it."""
+    e, de, n, *shape = run
+    parts = [[e, de, i, *shape], [e + i * de, de, 1, *shape],
+             [e + (i + 1) * de, de, n - i - 1, *shape]]
+    return [part for part in parts if part[2]]
+
+
+def _faulty(runs_of, fault):
+    """The run table of runs_of with one fault, on a cell split off as a run
+    of one: every row of its last cell raised by 1 or by the multiplicity m,
+    or the last row of its first cell dropped."""
+    def runs(p):
+        table = [list(run) for run in runs_of(p)]
+        m = sum(run[2] * run[7] for run in table)
         if fault == "drop":
-            table[0][5] -= 1
+            table[:1] = _split(table[0], 0)
+            table[0][7] -= 1
         else:
-            table[-1][0] += 1 if fault == "plus_one" else sum(cell[5] for cell in table)
+            table[-1:] = _split(table[-1], table[-1][2] - 1)
+            table[-1][0] += 1 if fault == "plus_one" else m
         return map(tuple, table)
-    return cells
+    return runs
 
 
 # (rational, quartic) at s = 1; the last cell has 5 rational or 4 quartic rows
@@ -273,7 +287,7 @@ def test_faulty_stream_raises(monkeypatch, name, fault):
     import skabelund.curve as curve
 
     rational = name.startswith("rational")
-    table = "_rational_cells" if rational else "_quartic_cells"
+    table = "_rational_runs" if rational else "_quartic_runs"
     monkeypatch.setattr(curve, table, _faulty(getattr(curve, table), fault))
     error, message = SumMismatch, _FAULT_MESSAGES[fault][not rational]
     if fault == "plus_one" and not name.endswith("_stats"):
@@ -284,39 +298,55 @@ def test_faulty_stream_raises(monkeypatch, name, fault):
 
 
 @pytest.mark.parametrize("s", range(1, 7))
+def test_run_tables_are_o_q0(s):
+    import skabelund.curve as curve
+
+    p = make_params(s)
+    assert len([*curve._rational_runs(p)]) == 2 * p.q0
+    assert len([*curve._quartic_runs(p)]) <= 12 * p.q0
+
+
+@pytest.mark.parametrize("s", range(1, 7))
 def test_cell_sums_match_expanded_stream(s):
     # the stats never expand a table, so check their closed form element by element
     import skabelund.curve as curve
 
     p = make_params(s)
-    for cells in (curve._rational_cells, curve._quartic_cells):
+    for runs in (curve._rational_runs, curve._quartic_runs):
         count = total = top = 0
-        for blk in curve._expand(cells(p)):
+        for blk in curve._expand(runs(p)):
             count += blk.size
             total += int(blk.sum())
             top = max(top, int(blk.max()))
-        assert curve._cell_sums(cells(p)) == (count, total, top)
+        assert curve._cell_sums(runs(p)) == (count, total, top)
 
 
 @pytest.mark.parametrize("s", range(1, 7))
 def test_cell_sums_match_numpy_oracle(s):
+    # the runs, cell by cell, are the per-cell tables, and sum as they do
     import skabelund.curve as curve
 
     p = make_params(s)
-    for cells in (curve._rational_cells, curve._quartic_cells):
-        assert curve._cell_sums(cells(p)) == cell_sums_oracle(cells(p))
+    for runs, cells in ((curve._rational_runs, rational_cells),
+                        (curve._quartic_runs, quartic_cells)):
+        assert Counter(cells_of_runs(runs(p))) == Counter(cells(p))
+        assert curve._cell_sums(runs(p)) == cell_sums_oracle(cells(p))
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_cell_sums_match_each_cell(s):
+def test_cell_sums_match_each_run(s):
     # a quartic upper-range cell peaks at its kink a - b*l = 0, which the
-    # maximum over a whole set may not show
+    # maximum over a whole set may not show; a run's top is in its cell
+    # with the largest start, the last if de > 0 and the first if de < 0
     import skabelund.curve as curve
 
     p = make_params(s)
-    for cell in (*curve._rational_cells(p), *curve._quartic_cells(p)):
-        vals = np.concatenate(list(curve._expand([cell])))
-        assert curve._cell_sums([cell]) == (vals.size, int(vals.sum()), int(vals.max()))
+    runs = [*curve._rational_runs(p), *curve._quartic_runs(p)]
+    for run in runs:
+        vals = np.concatenate(list(curve._expand([run])))
+        assert curve._cell_sums([run]) == (vals.size, int(vals.sum()), int(vals.max()))
+    # at s = 1 every quartic run holds one cell; the upper half steps down
+    assert {run[1] > 0 for run in runs if run[2] > 1} == ({True} if s == 1 else {True, False})
 
 
 @pytest.mark.parametrize("point", ["rational", "quartic"])
@@ -337,7 +367,7 @@ def test_special_profile_peak_memory(point):
 
 @pytest.mark.parametrize("stats_of", [rational_apery_stats, quartic_apery_stats])
 def test_special_stats_memory_at_s6(stats_of):
-    # O(q) cells, not blocks of the 67M-element Apery set
+    # O(q0) runs of cells, not blocks of the 67M-element Apery set
     tracemalloc.start()
     try:
         stats = stats_of(make_params(6))
