@@ -16,7 +16,7 @@ import sys
 from types import GeneratorType
 from typing import BinaryIO, Iterator
 
-from . import curve, semigroup
+from . import params, semigroup
 from .errors import (
     SkabelundError,
     TableMismatch,
@@ -49,12 +49,12 @@ _CAPS = {
 
 
 def cmd_params(s: int) -> tuple[dict, int]:
-    p = curve.make_params(s)
+    p = params.make_params(s)
     return {"s": p.s, "q0": p.q0, "q": p.q, "genus": p.genus}, 0
 
 
 def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tuple[dict, int]:
-    p = curve.make_params(s)
+    p = params.make_params(s)
     if s > _CAPS[emit][point]:
         raise UnsupportedCombination(
             f"--emit {emit} for {point} points is supported up to s = {_CAPS[emit][point]}"
@@ -65,8 +65,12 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
     payload: dict = {"s": p.s, "q0": p.q0, "q": p.q, "genus": p.genus,
                      "point": point, "emit": emit}
 
+    if witnesses:  # compiled, with families, before numpy loads (see witness.py)
+        from . import witness
     if point == "generic":
         from . import families
+    else:
+        from . import curve
     if point == "generic" and emit != "gaps":
         generic = families.generic_semigroup(p)
         profile, gens = generic.profile, generic.generators
@@ -81,10 +85,10 @@ def cmd_semigroup(s: int, point: str, emit: str, witnesses: bool = False) -> tup
         stats = (curve.rational_apery_stats if point == "rational" else curve.quartic_apery_stats)(p)
 
     if witnesses:  # NoWitness for the least failing gap, before any byte is written
-        bad, least = families.witness_faults(p)
+        bad, least = witness.witness_faults(p)
         if bad:
-            raise families._no_witness(p, least)
-        payload["gaps"] = families.witness_windows(p)  # rendered once, see _witness_blocks
+            raise witness._no_witness(p, least)
+        payload["gaps"] = witness.witness_windows(p)  # rendered once, see _pieces
     elif emit == "gaps":
         payload["gaps"] = profile  # streamed from its Kunz coordinates, see _pieces
     elif emit == "apery":
@@ -102,7 +106,7 @@ def cmd_table1(max_s: int) -> tuple[dict, int]:
         raise UnsupportedCombination("table rows are available for s in 1..4")
     rows = []
     for s in range(1, max_s + 1):
-        p = curve.make_params(s)
+        p = params.make_params(s)
         _, counts = families.kunz_counts(p)
         row = [counts[fid] for fid in families.FamilyId]
         row += [sum(row), p.genus]
@@ -125,13 +129,18 @@ def _check(name: str, s: int, passed: bool, observed, expected, informational=Fa
 
 
 def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
-    from . import families
-
     if not 1 <= s_lo <= s_hi <= 3:
         raise UnsupportedCombination("verify supports s ranges within 1..3")
+    # in this order each module compiles before families loads numpy, which
+    # keeps the compile memory out of the peak RSS (see witness.py)
+    from . import curve
+    if s_lo <= 2:  # the witnesses row
+        from . import witness
+    from . import families
+
     checks: list[dict] = []
     for s in range(s_lo, s_hi + 1):
-        p = curve.make_params(s)
+        p = params.make_params(s)
 
         # each check of the two special classes, rational first
         special = {"rational": semigroup.profile_from_generators(curve.rational_generators(p)),
@@ -169,7 +178,7 @@ def cmd_verify(s_lo: int, s_hi: int) -> tuple[dict, int]:
                              generic.profile.genus, p.genus))
 
         if s <= 2:
-            bad = families.witness_faults(p)[0]
+            bad = witness.witness_faults(p)[0]
             checks.append(_check("witnesses", s, bad == 0, f"{bad} invalid", "0 invalid"))
 
     hard_failures = [c for c in checks if not c["passed"] and not c["informational"]]
@@ -192,7 +201,9 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[bytes]:
     series goes out in blocks of _BLOCK: generators or an Apery set (a list
     or an array, read as one int64 array) and gaps (streamed from their Kunz
     coordinates) through :func:`_decimal`, witness records (the windows of
-    :func:`skabelund.families.witness_windows`) through :func:`_witness_blocks`."""
+    :func:`skabelund.witness.witness_windows`) through
+    :func:`skabelund.witness._witness_blocks`, _BLOCK // 32 records at a
+    time (512: the digit passes then stay in cache)."""
     if fmt == "json":
         import json  # loaded for JSON reports only
 
@@ -227,8 +238,12 @@ def _pieces(kind: str, payload: dict, fmt: str) -> Iterator[bytes]:
         elif not witnesses:
             head += f"{key} ({count} values):\n"
 
-    blocks = (_witness_blocks(series, payload["q0"], fmt, sep) if witnesses
-              else (_decimal(block, sep) for block in arrays))
+    if witnesses:
+        from . import witness
+
+        blocks = witness._witness_blocks(series, payload["q0"], fmt, sep, max(1, _BLOCK // 32))
+    else:
+        blocks = (_decimal(block, sep) for block in arrays)
     yield head.encode()
     for i, block in enumerate(blocks):
         if i:
@@ -281,65 +296,6 @@ def _words() -> np.ndarray:
     words = words.view(np.uint32).reshape(-1)
     words.flags.writeable = False
     return words
-
-
-def _witness_blocks(windows: Iterator[np.ndarray], q0: int, fmt: str, sep: str) -> Iterator[bytes]:
-    """The records of each witness window in blocks of _BLOCK // 32
-    (:func:`_records`): the bytes json.dumps(indent=2) gives the old record
-    dicts inside the payload (``fmt`` "json"), or the text line."""
-    from . import families
-
-    nb, ne = 2 * q0 - 2, q0 - 1
-    if fmt == "json":
-        import json
-
-        d = "%d"
-        lists = {"b": [d] * nb, "e": [d] * ne}
-        record = {"value": d, "family": "F%d",
-                  "params": dict.fromkeys(families.FamilyParams._fields, d),
-                  "witness": {name: lists.get(name, d) for name in families.WitnessVector._fields}}
-        template = json.dumps(record, indent=2).replace('"%d"', d).replace("\n", "\n    ")
-        rows = slice(None)
-    else:
-        b, e = ", ".join(["%d"] * nb), ", ".join(["%d"] * ne)
-        template = f"gap %d family=F%d witness a=(%d,%d,%d,%d) b=[{b}] c=%d d=%d e=[{e}] f=%d"
-        # window rows: value, family, seed a1..a4 (12..15), b, c, d, e (17..), f (16)
-        rows = [0, 1, 12, 13, 14, 15, *range(17, 19 + nb + ne), 16]
-    step = max(1, _BLOCK // 32)  # 512: the digit passes then stay in cache
-    for window in windows:
-        for i in range(0, window.shape[1], step):
-            yield _records(window[rows, i:i + step], template.split("%d"), sep)
-        del window  # before the next window is built
-
-
-def _records(x: np.ndarray, literals: list[str], sep: str) -> bytes:
-    """sep.join(template % tuple(r) for r in x.T), template = "%d".join(literals),
-    as ASCII bytes, for a (k, n) nonnegative int64 array.  One uint8 row per
-    record holds the literal bytes and each field's places, as many as its
-    column's widest value; w passes of x // 10 write a w-digit field, last
-    digit first, and the places above a value's own digits keep the pad byte
-    0, dropped at the end."""
-    import numpy as np
-
-    if x.size and x.min() < 0:
-        raise ValueError("record fields must be nonnegative")
-    widths = np.searchsorted(_POWERS, x.max(axis=1, initial=0), side="right") + 1
-    lits = [part.encode("ascii") for part in literals[:-1]] + [(literals[-1] + sep).encode("ascii")]
-    row = b"".join(lit + bytes(w) for lit, w in zip(lits, widths.tolist())) + lits[-1]
-    ends = np.cumsum([len(lit) for lit in lits[:-1]]) + np.cumsum(widths) - 1  # last digits
-    order = np.argsort(-widths, kind="stable")  # the fields still to write are a prefix
-    x, ends, widths = x[order], ends[order], widths[order]
-    out = np.broadcast_to(np.frombuffer(row, dtype=np.uint8), (x.shape[1], len(row))).copy()
-    for place in range(widths.max(initial=0)):
-        x = x[:np.count_nonzero(widths > place)]
-        q = x // 10
-        digit = x - 10 * q + ord("0")
-        if place:
-            digit *= x > 0  # above the value's own digits: pad
-        out[:, ends[:len(x)] - place] = digit.T
-        x = q
-    text = out.tobytes().replace(b"\0", b"")
-    return text[:len(text) - len(sep)]
 
 
 def _render_csv(kind: str, payload: dict) -> str:

@@ -24,32 +24,27 @@ that each residue's gaps are exactly r, r + m, ..., r + (k[r] - 1)m,
 with no array over [0, 2g).
 
 Every gap value v admits a witness: an exponent vector for a monomial in
-the building-block functions (see :func:`skabelund.curve.pole_order_table`)
+the building-block functions (see :func:`skabelund.params.pole_order_table`)
 whose vanishing order at the point is v - 1 and whose total pole order at
 infinity stays within 2g - 2.  Witnesses certify the value is a gap.  A
 gap's witness is x^a1 y^a2 z^a3 w^a4 pi^f times the block monomial that
-:func:`_family` lists beside its offset.  :func:`witness_faults` checks
-every witness with two tests per outer tuple of a family, and
-:func:`witness_windows` gives the records (every gap with its family,
-parameters and witness) as int64 columns, one value window at a time.
+:func:`_family` lists beside its offset.  :func:`gap_witness` reads one
+record's witness; the certificate of every witness and the record windows
+are in :mod:`skabelund.witness`, which :func:`gap_witness` and
+:func:`enumerate_all` load when they run, so the value path (counts,
+profile, generators, gaps) never compiles it.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .curve import CurveParams, pole_order_table
-from .errors import (
-    DuplicateGap,
-    NonIntegerResult,
-    NotClosed,
-    NoWitness,
-    UnsupportedS,
-)
+from .errors import DuplicateGap, NonIntegerResult, NotClosed, UnsupportedS
+from .params import CurveParams
 from .semigroup import GapSet, SemigroupProfile, gaps_of, minimal_generators
 
 
@@ -387,10 +382,13 @@ def enumerate_values(p: CurveParams) -> tuple[GapSet, dict[FamilyId, int]]:
 
 def enumerate_all(p: CurveParams) -> tuple[GapSet, list[GapRecord]]:
     """Union of the six families with full records, sorted by value (read
-    off :func:`witness_windows`)."""
+    off :func:`skabelund.witness.witness_windows`)."""
+    from . import witness
+
     kunz_counts(p)  # RuntimeError, DuplicateGap or NotClosed on bad family values
     fids = list(FamilyId)
-    records = [GapRecord(v, fids[k - 1], FamilyParams(*fields)) for cols in witness_windows(p)
+    records = [GapRecord(v, fids[k - 1], FamilyParams(*fields))
+               for cols in witness.witness_windows(p)
                for v, k, fields in zip(cols[0].tolist(), cols[1].tolist(), cols[2:12].T.tolist())]
     return GapSet(tuple(r.value for r in records), 2 * p.genus), records
 
@@ -465,120 +463,25 @@ class WitnessVector(NamedTuple):
     e: tuple[int, ...]
 
 
-def _axes(p: CurveParams) -> np.ndarray:
-    """Vanishing order (row 0) and pole order (row 1) of each building block,
-    in seed order: x, y, z, w, pi, h_1.., f1, f2, g_0.."""
-    t = pole_order_table(p)
-    return np.array([t.x, t.y, t.z, t.w, t.pi, *t.h, t.f1, t.f2, *t.g], dtype=np.int64).T
-
-
-def _is_witness(p: CurveParams, value: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Per column: valuation value - 1 and pole cost within 2g - 2."""
-    valuation, pole = _axes(p) @ seed
-    return (valuation == value - 1) & (pole <= p.two_g_minus_2)
-
-
-def _no_witness(p: CurveParams, value: int) -> NoWitness:
-    return NoWitness(f"no witness for value {value} within pole budget {p.two_g_minus_2}")
-
-
-def witness_faults(p: CurveParams) -> tuple[int, int | None]:
-    """The number of gaps whose witness fails and the least of them (None if
-    none), from two tests per outer tuple of each family (:func:`_family`),
-    exact for every gap.  A tuple's gaps are nu + offset, witnessed by x^a1
-    y^a2 z^a3 w^a4 pi^f times its block monomial: all have valuation
-    value - 1 iff the monomial has offset - 1.  w and pi share one pole
-    order, so its gaps fail from some a4 + f = T on: in F1 the u + 1 gaps
-    with a4 + f = u, the least with a4 = T and f = 0; F2..F6 fix a4 + f, so
-    the whole tuple fails, the least gap at its largest a4.
-    """
-    q0, q, axes = p.q0, p.q, _axes(p)
-    if axes[0, :5].tolist() != [1, q0, 2 * q0, q, q * q] or axes[1, 3] != axes[1, 4]:
-        raise RuntimeError("x, y, z, w, pi are not the building blocks that nu assumes")
-    bad, least = 0, []
-    for fid in FamilyId:
-        t, sigma, a4cap, offset, mono = _family(p, fid)
-        zero = np.zeros_like(t["a3"])
-        a1, a2, a3 = (t.get(k, zero) for k in ("a1", "a2", "a3"))
-        budget, low = sigma - a1 - a2 - a3, offset + a1 + a2 * q0 + a3 * 2 * q0
-        cost = np.zeros((2, len(zero)), dtype=np.int64)  # the monomial's valuation and pole
-        for row, power in mono:
-            cost += axes[:, 5 + row] * power
-        valuation, pole = cost
-        pole += axes[1, :3] @ np.stack((a1, a2, a3))  # at a4 = f = 0
-        first = np.maximum((p.two_g_minus_2 - pole) // axes[1, 3] + 1, 0)  # T
-        first[valuation != offset - 1] = 0
-        fails = first <= budget
-        if a4cap is None:
-            count, at = ((budget + 1) * (budget + 2) - first * (first + 1)) // 2, low + first * q
-        else:  # a4 = 0..n - 1, f = budget - a4: the least gap at a4 = n - 1
-            n = np.minimum(a4cap, budget) + 1
-            count, at = n, low + (n - 1) * q + (budget - n + 1) * q * q
-        bad += int(count[fails].sum())
-        least += at[fails].tolist()
-    return bad, min(least, default=None)
-
-
-_WINDOW = 4096  # gap values per window of witness_windows
-_MOVING = [i for i, k in enumerate(_RECORD) if k in ("value", "a4", "f", "sigma", "nu")]
-
-
-def witness_windows(p: CurveParams) -> Iterator[np.ndarray]:
-    """Every gap's record, one value window [v0, v0 + _WINDOW) at a time, as
-    int64 columns in value order: ``_RECORD`` (rows 2..11 the FamilyParams
-    fields), then the witness's block exponents (b, c, d, e).
-
-    Each progression row is read upward (from its far end if it runs down),
-    so its indices j with value + j*step in a window are one range, from two
-    floor divisions, and only the ``_MOVING`` rows of a record move along it.
-    :func:`witness_faults` certifies every witness, so one that fails
-    :func:`_is_witness` here is a fault of this expansion: RuntimeError.
-    """
-    parts = []
-    for fid in FamilyId:
-        r = _family_rows(p, fid, params=True)
-        moves = {"value": r.step, "a4": r.da4, "f": r.df, "sigma": r.da4 + r.df, "nu": r.step}
-        delta = np.array([moves[_RECORD[i]] for i in _MOVING])[:, None]
-        if r.step < 0:
-            r.start[_MOVING] += delta * (r.length - 1)
-            delta = -delta
-        parts.append(np.vstack((r.length, np.repeat(delta, len(r.length), axis=1), r.start)))
-    table = np.concatenate(parts, axis=1)
-    del parts
-    length, delta, start = table[0], table[1:len(_MOVING) + 1], table[len(_MOVING) + 1:]
-    value, step = start[0], delta[0]
-    for v0 in range(0, 2 * p.genus, _WINDOW):
-        lo = np.maximum(-((value - v0) // step), 0)
-        n = np.maximum(np.minimum(-((value - v0 - _WINDOW) // step), length) - lo, 0)
-        k, rows = np.repeat(lo, n) + _steps(n), np.repeat(np.arange(len(n)), n)
-        order = np.argsort(value[rows] + k * step[rows])
-        k, rows = k[order], rows[order]
-        window = start[:, rows]
-        window[_MOVING] += delta[:, rows] * k
-        ok = _is_witness(p, window[0], window[12:])
-        if not ok.all():
-            raise RuntimeError(f"a witness window misses the witness of {window[0, np.argmin(ok)]}")
-        yield window
-        del window  # before the next window is gathered
-
-
 def gap_witness(p: CurveParams, record: GapRecord) -> WitnessVector:
     """A record's witness, its a1..f times the block monomial of its family
     tuple (the grid entry that matches the record on every key), checked:
-    valuation value - 1 and pole cost within 2g - 2 (:func:`witness_faults`
-    certifies every gap); one that fails, or no matching tuple, raises
-    NoWitness.
+    valuation value - 1 and pole cost within 2g - 2
+    (:func:`skabelund.witness.witness_faults` certifies every gap); one that
+    fails, or no matching tuple, raises NoWitness.
     """
+    from . import witness
+
     t, _, _, _, mono = _family(p, record.family)
     fp, hit = record.params, np.ones(len(t["a3"]), dtype=bool)
     for k, column in t.items():
         hit &= column == getattr(fp, k)
     at = np.flatnonzero(hit)[:1]
     if not at.size:
-        raise _no_witness(p, record.value)
+        raise witness._no_witness(p, record.value)
     seed = np.concatenate(([fp.a1, fp.a2, fp.a3, fp.a4, fp.f], _monomial(p, mono, at)[:, 0]))
-    if not _is_witness(p, np.array([record.value]), seed[:, None])[0]:
-        raise _no_witness(p, record.value)
+    if not witness._is_witness(p, np.array([record.value]), seed[:, None])[0]:
+        raise witness._no_witness(p, record.value)
     exps = seed.tolist()
     c = 2 * p.q0 + 3
     return WitnessVector(*exps[:5], tuple(exps[5:c]), exps[c], exps[c + 1], tuple(exps[c + 2:]))

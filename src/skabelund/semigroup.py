@@ -41,7 +41,7 @@ U64_MAX = 2**64 - 1
 
 
 class GeneratorSet(NamedTuple("GeneratorSet", [("gens", tuple[int, ...])])):
-    """Strictly increasing positive integers with overall gcd 1."""
+    """Strictly increasing positive Python ints (not bools) with overall gcd 1."""
 
     __slots__ = ()
 
@@ -49,6 +49,9 @@ class GeneratorSet(NamedTuple("GeneratorSet", [("gens", tuple[int, ...])])):
         self = super().__new__(cls, *args, **kwargs)
         if not self.gens:
             raise EmptyInput("generator set is empty")
+        for g in self.gens:  # the engine needs int arithmetic: bit_length, gcd, shifts
+            if type(g) is not int:
+                raise ValueError(f"generators must be ints, got {g!r} of type {type(g).__name__}")
         if self.gens[0] < 1:
             raise ValueError(f"generators must be positive, got {self.gens[0]}")
         if any(a >= b for a, b in zip(self.gens, self.gens[1:])):
@@ -77,9 +80,7 @@ class SemigroupProfile:
         k = np.asarray(k)
         if not k.size:
             raise EmptyInput("Kunz vector is empty")
-        ints = k.dtype.kind in "iu" or k.dtype == object and all(type(x) is int for x in k.flat)
-        if k.ndim != 1 or not ints:  # a float or bool k would be truncated
-            raise ValueError(f"Kunz vector must be 1-D of integers, got {k.ndim}-D {k.dtype}")
+        _require_integers(k)
         m, top = len(k), _largest(k)
         if k[0] != 0:
             raise NotClosed(f"residue 0 holds {m * int(k[0])}: not in Apery normal form for m = {m}")
@@ -121,12 +122,15 @@ class SemigroupProfile:
     @classmethod
     def from_apery(cls, apery: Iterable[int]) -> "SemigroupProfile":
         """The profile of an Apery array in normal form, entry r congruent to r
-        mod m (entry 0 zero, checked by the profile); NotClosed names the first residue off it."""
+        mod m (entry 0 zero, checked by the profile); ValueError refuses
+        entries that are not integers, as the profile does, and NotClosed
+        names the first residue off normal form."""
         import numpy as np
 
         ap = list(apery)
         if not ap:
             raise EmptyInput("Apery set is empty")
+        _require_integers(np.asarray(ap))  # before the int64 cast truncates a float
         m = len(ap)
         fits = -(2**63) <= min(ap) and max(ap) < 2**63
         k = np.array(ap, dtype=np.int64 if fits else object)
@@ -148,6 +152,14 @@ class SemigroupProfile:
             alive = alive[self.k[alive] > j]
             for i in range(0, alive.size, size):
                 yield alive[i:i + size] + j * m
+
+
+def _require_integers(k: np.ndarray) -> None:
+    """ValueError unless k is one-dimensional of integers: an integer dtype,
+    or an object array of Python ints (a float or bool k would be truncated)."""
+    ints = k.dtype.kind in "iu" or k.dtype == object and all(type(x) is int for x in k.flat)
+    if k.ndim != 1 or not ints:
+        raise ValueError(f"Kunz vector must be 1-D of integers, got {k.ndim}-D {k.dtype}")
 
 
 class SemigroupStats(NamedTuple):
@@ -189,8 +201,9 @@ class GapSet(NamedTuple("GapSet", [("gaps", tuple[int, ...]), ("bound", int)])):
 
 
 def normalize_generators(raw: Iterable[int]) -> GeneratorSet:
-    """Sort, deduplicate and validate a raw list of generators."""
-    return GeneratorSet(tuple(sorted(set(raw))))
+    """Sort, deduplicate and validate a raw list of generators, each read as a
+    Python int by ``operator.index`` (numpy integers pass, floats do not)."""
+    return GeneratorSet(tuple(sorted(set(map(operator.index, raw)))))
 
 
 def profile_from_generators(gen_set: GeneratorSet) -> SemigroupProfile:

@@ -127,7 +127,7 @@ def family_seed(p, record: GapRecord) -> WitnessVector:
 
 def witness_fields(w: WitnessVector) -> list[int]:
     """The exponents of a witness in field order (a1, a2, a3, a4, f, b, c,
-    d, e), the row order of the witness in ``families.witness_windows``."""
+    d, e), the row order of the witness in ``witness.witness_windows``."""
     return [w.a1, w.a2, w.a3, w.a4, w.f, *w.b, w.c, w.d, *w.e]
 
 

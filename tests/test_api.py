@@ -1,7 +1,9 @@
+import importlib
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import skabelund
@@ -27,6 +29,18 @@ def test_generic_names_listed_before_first_use():
     assert {"WitnessTable", "witness_table"}.isdisjoint(dir(skabelund))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         skabelund.no_such_name
+
+
+def test_exported_names_are_their_modules_own(monkeypatch):
+    # each name is the object its defining module binds, read there on every
+    # use: none is cached in the package, so a name rebound in its module is
+    # the one the package gives
+    for name in skabelund.__all__:
+        obj = getattr(skabelund, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(skabelund.__all__).isdisjoint(vars(skabelund))
+    monkeypatch.setattr(skabelund.curve, "phi", len)
+    assert skabelund.phi is len
 
 
 def test_special_class_runs_never_import_families():
@@ -61,6 +75,48 @@ assert main(argv) == 0 and "dataclasses" not in sys.modules
     result = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("    s = 6\n   q0 = 64\n")
+
+
+_EVERY = ("skabelund.params", "skabelund.errors", "skabelund.semigroup", "skabelund.curve",
+          "skabelund.families", "skabelund.witness", "skabelund.cli", "numpy")
+_GENERIC, _CURVE, _WITNESS = ("skabelund.families", "numpy"), ("skabelund.curve",), ("skabelund.witness",)
+
+
+# one command per fresh process: the modules it must load and those it must not
+@pytest.mark.parametrize("argv, loads, skips", [
+    ((), (), _EVERY),
+    (("semigroup", "--point", "generic", "--emit", "stats"), _GENERIC, _CURVE + _WITNESS),
+    (("semigroup", "--point", "generic", "--emit", "generators"), _GENERIC, _CURVE + _WITNESS),
+    (("semigroup", "--point", "generic", "--emit", "gaps"), _GENERIC, _CURVE + _WITNESS),
+    (("table1", "--max-s", "1"), _GENERIC, _CURVE + _WITNESS),
+    (("semigroup", "--point", "rational", "--emit", "stats"), _CURVE, _GENERIC + _WITNESS),
+    (("semigroup", "--point", "quartic", "--emit", "stats"), _CURVE, _GENERIC + _WITNESS),
+    (("verify", "--s", "1..1"), _GENERIC + _CURVE + _WITNESS, ()),
+    (("semigroup", "--point", "generic", "--emit", "gaps", "--witnesses"),
+     _GENERIC + _WITNESS, _CURVE),
+], ids=["import", "generic-stats", "generic-generators", "generic-gaps", "table1",
+        "rational-stats", "quartic-stats", "verify", "witnesses"])
+def test_each_command_loads_only_its_modules(argv, loads, skips):
+    # a generic run never compiles the special closed forms or the witness
+    # path, and a special-class run never the families, witnesses or numpy
+    child = """
+import os
+import sys
+import skabelund
+argv = sys.argv[1:]
+if argv:
+    from skabelund.cli import main
+    if argv[0] == "semigroup":
+        argv += ["--s", "1"]
+    assert main(argv + ["--out", os.devnull]) == 0, argv
+print(" ".join(sorted(sys.modules)))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, env=env,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert set(loads) <= loaded and not set(skips) & loaded, sorted(loaded)
 
 
 # each record of the package, built from a fresh CurveParams at s = 1, and
@@ -122,12 +178,30 @@ def test_record_contract(name):
      "stored sigma 3 disagrees with components"),
     (lambda: skabelund.FamilyParams(*[0] * 10)._replace(sigma=1), ValueError,
      "stored sigma 1 disagrees with components"),
+    (lambda: skabelund.GeneratorSet((True, 3)), ValueError,
+     "generators must be ints, got True of type bool"),
+    (lambda: skabelund.GeneratorSet((2, 3.0)), ValueError,
+     "generators must be ints, got 3.0 of type float"),
+    (lambda: skabelund.GeneratorSet((np.int64(2), 3)), ValueError,
+     "generators must be ints, got np.int64(2) of type int64"),
+    (lambda: skabelund.GeneratorSet((2, 3))._replace(gens=(2, 3.0)), ValueError,
+     "generators must be ints, got 3.0 of type float"),
 ], ids=["empty", "nonpositive", "repeated", "noncoprime", "replaced-noncoprime",
         "unsorted", "zero", "bound", "replaced-bound",
-        "negative", "negative-first", "sigma", "replaced-sigma"])
+        "negative", "negative-first", "sigma", "replaced-sigma",
+        "bool", "float", "numpy-int", "replaced-float"])
 def test_record_checks(build, error, message):
     # the checked records refuse bad fields on construction and on _replace,
     # with the exception type and text they always had
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_normalize_generators_reads_each_value_as_an_index():
+    # numpy integers become Python ints, so the checked GeneratorSet takes
+    # them; a float has no index and fails there, not deep in the engine
+    gens = skabelund.normalize_generators([np.int64(5), 3, np.int32(3)])
+    assert gens == skabelund.GeneratorSet((3, 5)) and {type(g) for g in gens.gens} == {int}
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        skabelund.normalize_generators([2, 3.0])

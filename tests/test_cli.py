@@ -127,13 +127,13 @@ def test_witnesses_have_no_csv_form(capsys):
 def test_witnesses_csv_refused_before_the_table_is_built(capsys, monkeypatch):
     # the refusal costs nothing: neither the witness certificate nor the
     # record windows run
-    import skabelund.families as fam
+    import skabelund.witness as witness
 
     def build(p):
         raise AssertionError("witnesses built for a refused request")
 
-    monkeypatch.setattr(fam, "witness_faults", build)
-    monkeypatch.setattr(fam, "witness_windows", build)
+    monkeypatch.setattr(witness, "witness_faults", build)
+    monkeypatch.setattr(witness, "witness_windows", build)
     code, out, err = run(capsys, "semigroup", "--s", "3", "--point", "generic",
                          "--emit", "gaps", "--witnesses", "--format", "csv")
     assert (code, out, err) == (2, "", "error: --witnesses payloads have no CSV form\n")
@@ -143,15 +143,16 @@ def test_witnesses_csv_refused_before_the_table_is_built(capsys, monkeypatch):
 def test_failed_report_leaves_no_out_file(existing, capsys, monkeypatch, tmp_path):
     # a report that fails after its first block leaves no partial PATH behind
     import skabelund.cli as cli
+    import skabelund.witness as witness
 
-    real_blocks = cli._witness_blocks
+    real_blocks = witness._witness_blocks
 
-    def blocks(windows, q0, fmt, sep):
-        yield next(real_blocks(windows, q0, fmt, sep))
+    def blocks(*args):
+        yield next(real_blocks(*args))
         raise MemoryError("witness block")
 
     monkeypatch.setattr(cli, "_BLOCK", 50)
-    monkeypatch.setattr(cli, "_witness_blocks", blocks)
+    monkeypatch.setattr(witness, "_witness_blocks", blocks)
     target = tmp_path / "dump.json"
     if existing:
         target.write_text("an older report\n", encoding="utf-8")
@@ -521,13 +522,13 @@ def test_bad_witness_seed_fails_dump(capsys, monkeypatch):
 @pytest.mark.parametrize("s", [2, 3])
 def test_bad_monomial_fails_dump_before_any_byte(fid, s, capsys, monkeypatch, tmp_path):
     # the certificate runs before the first byte: no output, and no --out file
-    import skabelund.families as fam
+    import skabelund.witness as witness
 
     def windows(p):
         raise AssertionError("records built for an uncertified dump")
 
     _corrupt_monomial(monkeypatch, fid)
-    monkeypatch.setattr(fam, "witness_windows", windows)
+    monkeypatch.setattr(witness, "witness_windows", windows)
     p = make_params(s)
     value = min(_n0_gaps(p, fid))
     target = tmp_path / "dump.json"
@@ -882,7 +883,8 @@ def test_decimal_matches_str_join(sep):
 def test_decimal_matches_records(sep):
     # the series writer and the record writer, which share no code, give one
     # answer on the cases of test_decimal_matches_str_join
-    from skabelund.cli import _decimal, _records
+    from skabelund.cli import _decimal
+    from skabelund.witness import _records
 
     rng = np.random.default_rng(12)
     cases = [[0], [7], [10**18], [2**63 - 1], [0, 0, 5], _BOUNDARIES, [0, *_BOUNDARIES], []]
@@ -907,7 +909,7 @@ def test_records_match_template(sep):
     # every width from 1 to 19 digits, mixed in one column and across columns,
     # at random, in a one-record block and in an empty one; the template opens
     # with a hole and has two holes side by side
-    from skabelund.cli import _records
+    from skabelund.witness import _records
 
     literals = ["", "{a: ", "", " b=(", ")}"]
     template = "%d".join(literals)
@@ -925,7 +927,7 @@ def test_records_match_template(sep):
 
 @pytest.mark.parametrize("values", [[[-1]], [[3, -5]], [[0, 1], [2, -(2**63)]]])
 def test_records_reject_negative(values):
-    from skabelund.cli import _records
+    from skabelund.witness import _records
 
     x = np.asarray(values, dtype=np.int64)
     with pytest.raises(ValueError, match="nonnegative"):

@@ -71,6 +71,15 @@ def test_kunz_vector_of_non_integers_rejected(k):
         SemigroupProfile(k)
 
 
+@pytest.mark.parametrize("apery", [(0, 4.7, 5), [0, 4.0, 5], np.array([0, 4, 5.5]),
+                                   np.array([0, 1, 1], dtype=bool), [[0, 4, 5]]])
+def test_from_apery_refuses_non_integers(apery):
+    # refused before the int64 cast, which truncated (0, 4.7, 5) to the
+    # profile of (0, 4, 5), with the text the profile gives such a k
+    with pytest.raises(ValueError, match="^Kunz vector must be 1-D of integers, got "):
+        SemigroupProfile.from_apery(apery)
+
+
 def test_generator_set_requires_strict_increase():
     with pytest.raises(ValueError):
         GeneratorSet((3, 3, 5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import skabelund.families as fam
+import skabelund.witness as wit
 from oracles import family_seed, witness_cost, witness_fields
 from skabelund import (
     FamilyId,
@@ -95,8 +96,8 @@ def test_seeds_match_oracle(s, request):
     # the per-record oracle on every gap
     p = request.getfixturevalue(f"p{s}")
     _, records = request.getfixturevalue(f"records_s{s}")
-    columns = np.concatenate(list(fam.witness_windows(p)), axis=1)
-    assert fam.witness_faults(p) == (0, None)
+    columns = np.concatenate(list(wit.witness_windows(p)), axis=1)
+    assert wit.witness_faults(p) == (0, None)
     assert columns[0].tolist() == [r.value for r in records]
     assert columns[1].tolist() == [r.family.value for r in records]
     assert columns[2:12].T.tolist() == [list(r.params) for r in records]
@@ -108,26 +109,26 @@ def test_seeds_match_oracle(s, request):
 @pytest.mark.parametrize("width", [1, 7, 1000, 10**6])
 def test_windows_of_any_width_give_the_same_records(width, p2, monkeypatch):
     # rows cross window edges at every width; empty windows yield no record
-    every = np.concatenate(list(fam.witness_windows(p2)), axis=1)
-    monkeypatch.setattr(fam, "_WINDOW", width)
-    assert np.array_equal(np.concatenate(list(fam.witness_windows(p2)), axis=1), every)
+    every = np.concatenate(list(wit.witness_windows(p2)), axis=1)
+    monkeypatch.setattr(wit, "_WINDOW", width)
+    assert np.array_equal(np.concatenate(list(wit.witness_windows(p2)), axis=1), every)
 
 
 def test_pole_bound_is_inclusive(p2, records_s2, monkeypatch):
     # a budget equal to the largest witness pole cost passes every gap; one
     # less fails exactly the gaps at that cost, in the certificate, in the
     # dump (before its records are built) and in gap_witness
-    from skabelund import curve
+    from skabelund import params
     from skabelund.cli import cmd_semigroup
 
     _, records = records_s2
     poles = [witness_cost(p2, gap_witness(p2, r))[1] for r in records]
     top = max(poles)
-    assert fam.witness_faults(p2._replace(two_g_minus_2=top)) == (0, None)
+    assert wit.witness_faults(p2._replace(two_g_minus_2=top)) == (0, None)
     tight = p2._replace(two_g_minus_2=top - 1)
     failing = [r for r, cost in zip(records, poles) if cost == top]
-    assert fam.witness_faults(tight) == (len(failing), failing[0].value)
-    monkeypatch.setattr(curve, "make_params", lambda s: tight)
+    assert wit.witness_faults(tight) == (len(failing), failing[0].value)
+    monkeypatch.setattr(params, "make_params", lambda s: tight)
     message = f"^no witness for value {failing[0].value} within pole budget {top - 1}$"
     with pytest.raises(NoWitness, match=message):
         cmd_semigroup(2, "generic", "gaps", witnesses=True)
@@ -157,7 +158,7 @@ def test_gap_witness_reads_the_tuple_of_every_key(p2, records_s2, monkeypatch):
         except NoWitness:
             refused.append(r)
     assert len(refused) == 4
-    assert fam.witness_faults(p2) == (4, refused[0].value)
+    assert wit.witness_faults(p2) == (4, refused[0].value)
     assert {(r.params.n, r.params.a1, r.params.a2, r.params.a3) for r in refused} == {(0, 0, 0, 0)}
 
 
@@ -189,7 +190,7 @@ def test_f1_pole_fault_names_a4_t_f_0(p2, monkeypatch):
     value, a4, f = min(failing)
     assert (a4, f) == (min(a + g for _, a, g in failing), 0)  # (T, 0)
     assert 0 < len(failing) < (budget + 1) * (budget + 2) // 2
-    assert fam.witness_faults(p2) == (len(failing), value)
+    assert wit.witness_faults(p2) == (len(failing), value)
 
 
 def test_witness_window_peak_memory(p3):
@@ -197,12 +198,12 @@ def test_witness_window_peak_memory(p3):
     # gather of the window's columns, sorted by value before the gather, so
     # one step's peak stays below twice the widest window (1.3 MB at s = 3;
     # all records at once were 330 MB)
-    windows = fam.witness_windows(p3)
+    windows = wit.witness_windows(p3)
     window = next(windows)
     steps = []
     tracemalloc.start()
     try:
-        for _ in range(2 * p3.genus // fam._WINDOW):
+        for _ in range(2 * p3.genus // wit._WINDOW):
             del window
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -211,13 +212,13 @@ def test_witness_window_peak_memory(p3):
     finally:
         tracemalloc.stop()
     widest = max(size for _, size in steps)
-    assert widest <= 40 * fam._WINDOW * 8
+    assert widest <= 40 * wit._WINDOW * 8
     assert max(peak for peak, _ in steps) < 2 * widest
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_witness_certificate_per_family_tuple(s):
-    # the certificate of families.witness_faults, restated term by term:
+    # the certificate of witness.witness_faults, restated term by term:
     # every gap of an outer tuple is nu + offset, witnessed by
     # x^a1 y^a2 z^a3 w^a4 pi^f times the tuple's block monomial, so the
     # monomial's valuation must be offset - 1.  w and pi share one pole
@@ -240,4 +241,4 @@ def test_witness_certificate_per_family_tuple(s):
         budget = sigma - a1 - a2 - a3
         top = a1 * t.x[1] + a2 * t.y[1] + a3 * t.z[1] + budget * t.w[1] + pole
         assert (top[budget >= 0] <= p.two_g_minus_2).all(), fid
-    assert fam.witness_faults(p) == (0, None)
+    assert wit.witness_faults(p) == (0, None)
